@@ -137,9 +137,7 @@ int main() {
 
   engine::RunOptions opts = bench::run_options();
   engine::CacheMode mode = engine::resolve_cache_mode(opts.cache);
-  const char* mode_name = mode == engine::CacheMode::kShared    ? "shared"
-                          : mode == engine::CacheMode::kPerQuery ? "per-query"
-                                                                 : "off";
+  const char* mode_name = mode == engine::CacheMode::kShared ? "shared" : "off";
 
   auto invocations = std::make_shared<std::atomic<long>>(0);
   engine::Privid sys(123);

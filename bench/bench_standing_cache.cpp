@@ -110,9 +110,7 @@ int main() {
 
   engine::RunOptions opts = bench::run_options();
   engine::CacheMode mode = engine::resolve_cache_mode(opts.cache);
-  const char* mode_name = mode == engine::CacheMode::kShared    ? "shared"
-                          : mode == engine::CacheMode::kPerQuery ? "per-query"
-                                                                 : "off";
+  const char* mode_name = mode == engine::CacheMode::kShared ? "shared" : "off";
 
   auto scene = year_scene();
   auto make_sys = [&] {

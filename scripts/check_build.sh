@@ -19,7 +19,7 @@
 # CXX, when set, picks the compiler (-DCMAKE_CXX_COMPILER) so the gcc and
 # clang CI legs share this script. CMAKE_CXX_COMPILER_LAUNCHER (e.g.
 # ccache) is forwarded when set, and its hit-rate stats are printed at the
-# end of the run. PRIVID_CACHE (off/shared/per-query) flows through to the
+# end of the run. PRIVID_CACHE (off/shared) flows through to the
 # test processes — the CI cache-equivalence job replays suites under
 # different cache modes this way.
 #

@@ -66,8 +66,8 @@ class ArgumentError : public Error {
 
 // Infrastructure-level failure that a bounded re-attempt may absorb (a
 // sandbox worker dying at startup, a single-flight leader crashing at
-// completion). The engine's retry ladder (RunOptions::sandbox_retries,
-// engine/executor.hpp) catches exactly this type: anything else is a real
+// completion). The engine's retry ladder (two extra attempts per task,
+// engine/executor.cpp) catches exactly this type: anything else is a real
 // query error and fails the query on the first occurrence.
 class TransientError : public Error {
  public:

@@ -1,4 +1,4 @@
-#include "service/admission.hpp"
+#include "engine/admission.hpp"
 
 #include <string>
 #include <utility>
@@ -7,7 +7,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-namespace privid::service {
+namespace privid::engine {
 
 namespace {
 
@@ -30,11 +30,11 @@ AdmissionMetrics& admission_metrics() {
 }  // namespace
 
 Reservation::Reservation(Reservation&& other) noexcept
-    : charges_(std::move(other.charges_)), settled_(other.settled_),
-      committed_(other.committed_) {
+    : charges_(std::move(other.charges_)),
+      total_epsilon_(other.total_epsilon_), settled_(other.settled_) {
   other.charges_.clear();
+  other.total_epsilon_ = 0;
   other.settled_ = false;
-  other.committed_ = false;
 }
 
 Reservation& Reservation::operator=(Reservation&& other) noexcept {
@@ -48,11 +48,11 @@ Reservation& Reservation::operator=(Reservation&& other) noexcept {
     } catch (...) {
     }
     charges_ = std::move(other.charges_);
+    total_epsilon_ = other.total_epsilon_;
     settled_ = other.settled_;
-    committed_ = other.committed_;
     other.charges_.clear();
+    other.total_epsilon_ = 0;
     other.settled_ = false;
-    other.committed_ = false;
   }
   return *this;
 }
@@ -66,11 +66,7 @@ Reservation::~Reservation() {
   }
 }
 
-void Reservation::commit() {
-  if (settled_) return;
-  settled_ = true;
-  committed_ = true;
-}
+void Reservation::commit() { settled_ = true; }
 
 void Reservation::refund() {
   if (settled_) return;
@@ -80,24 +76,27 @@ void Reservation::refund() {
   }
 }
 
-double Reservation::total_epsilon() const {
-  double total = 0;
-  for (const auto& c : charges_) total += c.epsilon;
-  return total;
-}
-
 AdmissionController::AdmissionController(
-    std::map<std::string, engine::CameraState>* cameras)
+    std::map<std::string, CameraState>* cameras)
     : cameras_(cameras) {
   if (!cameras) throw ArgumentError("AdmissionController requires cameras");
 }
 
-Reservation AdmissionController::reserve(
-    const std::vector<engine::CameraCharge>& charges) {
-  obs::Span span("admission.reserve", "service");
+Reservation AdmissionController::reserve(const PreparedQuery& query) {
+  if (!query.options().charge_budget) return {};
+  const std::vector<CameraCharge> charges = query.admission_charges();
+  obs::Span span("admission.reserve", "engine");
   if (span.active()) {
     span.tag("cameras", static_cast<std::uint64_t>(charges.size()));
   }
+  auto reject = [&](const CameraCharge& ch) {
+    // ~Reservation refunds the charges applied so far.
+    admission_metrics().rejected->add();
+    if (span.active()) span.tag("outcome", "rejected");
+    throw BudgetError("query rejected at admission: camera '" + ch.camera +
+                      "' lacks budget for epsilon " +
+                      std::to_string(ch.epsilon));
+  };
   Reservation res;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& ch : charges) {
@@ -108,27 +107,23 @@ Reservation AdmissionController::reserve(
       throw LookupError("admission: unknown camera '" + ch.camera + "'");
     }
     BudgetLedger* ledger = it->second.ledger.get();
-    if (!ledger->try_reserve(ch.frames, ch.margin, ch.epsilon)) {
-      // ~Reservation refunds the charges applied so far.
-      admission_metrics().rejected->add();
-      if (span.active()) span.tag("outcome", "rejected");
-      throw BudgetError("query rejected at admission: camera '" + ch.camera +
-                        "' lacks budget for epsilon " +
-                        std::to_string(ch.epsilon));
+    // Check every window before charging any: each camera appears once
+    // per SELECT, so the checks see the ledger as it stood before this
+    // SELECT (earlier SELECTs' charges included).
+    for (const auto& w : ch.windows) {
+      if (!ledger->can_charge(w.frames, w.margin, ch.epsilon)) reject(ch);
     }
-    res.charges_.push_back(Reservation::Charge{ledger, ch.frames, ch.epsilon});
+    for (const FrameInterval& frames : ch.charged) {
+      // Cannot fail while this controller is the ledger's only writer;
+      // checked anyway so a concurrent owner-side restore rolls back.
+      if (!ledger->try_reserve(frames, 0, ch.epsilon)) reject(ch);
+      res.charges_.push_back(Reservation::Charge{ledger, frames, ch.epsilon});
+    }
+    res.total_epsilon_ += ch.epsilon;
   }
   admission_metrics().reserved->add();
   if (span.active()) span.tag("outcome", "reserved");
   return res;
 }
 
-Reservation AdmissionController::reserve(const engine::QueryPlan& plan) {
-  std::vector<engine::CameraCharge> charges;
-  for (const auto& sp : plan.selects) {
-    charges.insert(charges.end(), sp.charges.begin(), sp.charges.end());
-  }
-  return reserve(charges);
-}
-
-}  // namespace privid::service
+}  // namespace privid::engine

@@ -31,9 +31,6 @@ CacheMode resolve_cache_mode(CacheMode mode) {
   const char* v = std::getenv("PRIVID_CACHE");
   if (!v || !*v) return CacheMode::kOff;
   if (std::strcmp(v, "shared") == 0) return CacheMode::kShared;
-  if (std::strcmp(v, "per-query") == 0 || std::strcmp(v, "per_query") == 0) {
-    return CacheMode::kPerQuery;
-  }
   return CacheMode::kOff;
 }
 

@@ -65,10 +65,10 @@
 namespace privid::engine {
 
 // RunOptions::cache values. kDefault resolves from the PRIVID_CACHE
-// environment variable ("off", "shared", "per-query"; unset means off) so
+// environment variable ("off", "shared"; unset means off) so
 // whole test/bench suites can be replayed under a different cache mode
 // without code changes — CI's cache-equivalence job relies on this.
-enum class CacheMode { kDefault, kOff, kShared, kPerQuery };
+enum class CacheMode { kDefault, kOff, kShared };
 
 // Resolves kDefault against PRIVID_CACHE; other values pass through.
 // Unrecognized env text resolves to kOff (never crash a deployment over a

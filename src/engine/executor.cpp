@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -52,7 +51,7 @@ struct EngineMetrics {
   obs::LatencyHistogram* task_process = group.histogram("task.process");
   obs::LatencyHistogram* assemble = group.histogram("query.assemble");
   obs::LatencyHistogram* finish = group.histogram("query.finish");
-  // Retry ladder (RunOptions::sandbox_retries): attempts counts *extra*
+  // Retry ladder (kSandboxRetries): attempts counts *extra*
   // attempts only, so a fault-free run leaves all three at zero;
   // recovered + exhausted reconciles against the transient failures the
   // fault plane reports having fired into the sandbox seams.
@@ -109,9 +108,19 @@ FingerprintBuilder process_fingerprint(const ProcessStmt& p,
   return fp;
 }
 
+// Bounded retry for *transient* per-task failures (TransientError:
+// sandbox-worker startup death, single-flight leader crash — not
+// executable crashes, which Appendix B converts to a default row
+// in-sandbox). Each task re-attempts immediately up to this many extra
+// times before the error fails the query; the re-attempt recomputes the
+// same pure function, so a recovered retry is byte-identical to a
+// never-failed run. Backoff is deterministic by construction: the sandbox
+// is in-process (nothing to wait out) and a wall-clock sleep would be
+// both useless and nondeterministic.
+constexpr std::size_t kSandboxRetries = 2;
+
 // A SELECT's per-frame ledger charge: ε x #aggregate projections x
-// Π|WITH KEYS| (see the header comment). Shared by the run path, the
-// planner and admission so the three can never disagree.
+// Π|WITH KEYS| (see the header comment).
 double select_charge_per_frame(const SelectStmt& s, double default_epsilon) {
   double eps = s.consuming > 0 ? s.consuming : default_epsilon;
   std::size_t n_aggs = 0;
@@ -140,6 +149,63 @@ void collect_table_refs(const query::Relation& rel,
       collect_table_refs(*rel.right, out);
       return;
   }
+}
+
+const BoundTable& find_table(const std::map<std::string, BoundTable>& tables,
+                             const std::string& name) {
+  auto it = tables.find(name);
+  if (it == tables.end()) throw LookupError("unknown table '" + name + "'");
+  return it->second;
+}
+
+SensitivityEngine sensitivity_over(
+    const std::map<std::string, BoundTable>& tables) {
+  return SensitivityEngine([&tables](const std::string& name) {
+    return find_table(tables, name).info;
+  });
+}
+
+// The one pricing function (Alg. 1 lines 1-5): the ledger charges of one
+// SELECT, one per distinct camera it reads, in first-reference order.
+// Every table the SELECT reads on a camera contributes its window, checked
+// with that table's own ρ margin; the camera is charged once per frame of
+// the windows' union. PreparedQuery::admission_charges (what admission
+// reserves) and Executor::plan both price through here.
+std::vector<CameraCharge> price_select(
+    const SelectStmt& s, double default_epsilon,
+    const std::map<std::string, BoundTable>& tables,
+    const std::map<std::string, CameraState>& cameras) {
+  const double epsilon = select_charge_per_frame(s, default_epsilon);
+  std::vector<std::string> refs;
+  collect_table_refs(*s.core.from, &refs);
+  std::vector<CameraCharge> out;
+  for (const auto& ref : refs) {
+    const BoundTable& bt = find_table(tables, ref);
+    auto ch = std::find_if(out.begin(), out.end(), [&](const CameraCharge& c) {
+      return c.camera == bt.camera;
+    });
+    if (ch == out.end()) {
+      ch = out.insert(out.end(), CameraCharge{bt.camera, {}, {}, epsilon});
+    }
+    ch->windows.push_back(CameraCharge::Window{
+        bt.frames,
+        to_frames_round(bt.info.policy.rho, cameras.at(bt.camera).meta.fps)});
+  }
+  for (auto& ch : out) {
+    std::vector<FrameInterval> frames;
+    for (const auto& w : ch.windows) frames.push_back(w.frames);
+    std::sort(frames.begin(), frames.end(), [](auto a, auto b) {
+      return a.begin < b.begin;
+    });
+    for (const FrameInterval& f : frames) {
+      if (!ch.charged.empty() && f.begin <= ch.charged.back().end) {
+        ch.charged.back().end = std::max(ch.charged.back().end, f.end);
+      } else {
+        ch.charged.push_back(f);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -216,22 +282,7 @@ PreparedQuery Executor::prepare(const ParsedQuery& q, const RunOptions& opts) {
   pq.opts_.cache = resolve_cache_mode(opts.cache);
   pq.inflight_ = inflight_;
 
-  // Resolve the cache serving this run. kPerQuery deduplicates only within
-  // the query (several PROCESS statements over the same chunk set) and is
-  // discarded with the run.
-  switch (pq.opts_.cache) {
-    case CacheMode::kOff:
-      break;
-    case CacheMode::kShared:
-      pq.cache_ = shared_cache_;
-      break;
-    case CacheMode::kPerQuery:
-      pq.per_query_cache_ = std::make_unique<ChunkCache>();
-      pq.cache_ = pq.per_query_cache_.get();
-      break;
-    case CacheMode::kDefault:
-      break;  // unreachable: resolve_cache_mode never returns kDefault
-  }
+  if (pq.opts_.cache == CacheMode::kShared) pq.cache_ = shared_cache_;
   pq.before_ = pq.cache_ ? pq.cache_->stats() : CacheStats{};
 
   // Bind SPLITs by chunk-set name and resolve one phase per PROCESS.
@@ -357,13 +408,9 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
           if (cache_ != nullptr && cache_->lookup(key, &cached)) return cached;
           return compute();
         };
-        if (!inflight_->run(key, compute_in_flight, &slab) &&
-            cache_ != nullptr) {
-          // Follower: the leader inserted into *its* cache inside compute;
-          // if ours is a different one (per-query mode), remember the slab
-          // here too. In shared mode this merely refreshes recency.
-          cache_->insert(key, slab);
-        }
+        // A follower's slab is already in the cache: the leader
+        // inserted it inside compute.
+        inflight_->run(key, compute_in_flight, &slab);
       } else {
         slab = compute();
       }
@@ -376,7 +423,7 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
   // straight from the cache a crashed leader already populated), so the
   // slab is byte-identical to a never-failed run. Any non-transient
   // exception propagates on first occurrence and fails the query.
-  const std::size_t max_attempts = 1 + opts_.sandbox_retries;
+  const std::size_t max_attempts = 1 + kSandboxRetries;
   for (std::size_t attempt_no = 1;; ++attempt_no) {
     try {
       ColumnSlab slab = attempt();
@@ -432,20 +479,9 @@ void PreparedQuery::assemble(std::size_t phase,
 std::vector<CameraCharge> PreparedQuery::admission_charges() const {
   std::vector<CameraCharge> out;
   for (const auto& s : q_->selects) {
-    double charge = select_charge_per_frame(s, opts_.default_epsilon);
-    std::vector<std::string> refs;
-    collect_table_refs(*s.core.from, &refs);
-    std::set<std::string> seen;
-    for (const auto& ref : refs) {
-      auto it = tables_.find(ref);
-      if (it == tables_.end()) {
-        throw LookupError("unknown table '" + ref + "'");
-      }
-      const BoundTable& bt = it->second;
-      if (!seen.insert(bt.camera).second) continue;
-      const CameraState& cam = cameras_->at(bt.camera);
-      FrameIndex margin = to_frames_round(bt.info.policy.rho, cam.meta.fps);
-      out.push_back(CameraCharge{bt.camera, bt.frames, margin, charge});
+    for (auto& ch :
+         price_select(s, opts_.default_epsilon, tables_, *cameras_)) {
+      out.push_back(std::move(ch));
     }
   }
   return out;
@@ -478,48 +514,13 @@ QueryResult PreparedQuery::finish() {
 }
 
 void PreparedQuery::run_select(const SelectStmt& s, QueryResult* out) {
-  // Covers sensitivity analysis, ledger charge, relational evaluation and
-  // the noisy release — the span observes the release path but its timing
-  // never feeds it (see src/obs/ and the privcheck obs-timing rule).
+  // Covers sensitivity analysis, relational evaluation and the noisy
+  // release — the span observes the release path but its timing never
+  // feeds it (see src/obs/ and the privcheck obs-timing rule).
   obs::Span span("query.select", "engine");
   const RunOptions& opts = opts_;
-  // Sensitivity over the AST.
-  SensitivityEngine sens([&](const std::string& name) -> TableInfo {
-    auto it = tables_.find(name);
-    if (it == tables_.end()) throw LookupError("unknown table '" + name + "'");
-    return it->second.info;
-  });
-
+  SensitivityEngine sens = sensitivity_over(tables_);
   double eps = s.consuming > 0 ? s.consuming : opts.default_epsilon;
-  // Same-frame releases (aggregate projections x declared keys) priced by
-  // the shared helper, so run/plan/admission charge identically.
-  double charge = select_charge_per_frame(s, opts.default_epsilon);
-
-  // Budget check + charge, per involved camera (Alg. 1 lines 1-5).
-  std::vector<std::string> refs;
-  collect_table_refs(*s.core.from, &refs);
-  std::set<std::string> seen_cameras;
-  if (opts.charge_budget) {
-    struct Charge {
-      BudgetLedger* ledger;
-      FrameInterval frames;
-      FrameIndex margin;
-    };
-    std::vector<Charge> charges;
-    for (const auto& ref : refs) {
-      const BoundTable& bt = tables_.at(ref);
-      if (!seen_cameras.insert(bt.camera).second) continue;
-      CameraState& cam = cameras_->at(bt.camera);
-      FrameIndex margin = to_frames_round(bt.info.policy.rho, cam.meta.fps);
-      if (!cam.ledger->can_charge(bt.frames, margin, charge)) {
-        throw BudgetError("query denied: camera '" + bt.camera +
-                          "' lacks budget for epsilon " +
-                          std::to_string(charge));
-      }
-      charges.push_back({cam.ledger.get(), bt.frames, margin});
-    }
-    for (auto& c : charges) c.ledger->charge(c.frames, c.margin, charge);
-  }
 
   // Evaluate the outer input table (FROM + WHERE + LIMIT).
   TableMap tmap;
@@ -665,35 +666,25 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
   std::map<std::string, const SplitStmt*> splits;
   for (const auto& s : q.splits) splits[s.into] = &s;
 
-  // Table facts from split arithmetic only.
-  struct PlannedTable {
-    sensitivity::TableInfo info;
-    std::string camera;
-    FrameInterval frames;
-    sensitivity::Policy policy;
-  };
-  std::map<std::string, PlannedTable> tables;
+  // The bound tables admission prices, from split arithmetic only (no
+  // rows).
+  std::map<std::string, BoundTable> tables;
   for (const auto& p : q.processes) {
     const SplitStmt* s = splits.at(p.chunk_set);
     ResolvedSplit rs = resolve_split(*s);
-    tables.emplace(p.into, PlannedTable{table_info(p, *s, rs), s->camera,
-                                        rs.frames, rs.policy});
+    BoundTable& bt = tables[p.into];
+    bt.info = table_info(p, *s, rs);
+    bt.camera = s->camera;
+    bt.frames = rs.frames;
   }
-
-  SensitivityEngine sens([&](const std::string& name) -> TableInfo {
-    auto it = tables.find(name);
-    if (it == tables.end()) throw LookupError("unknown table '" + name + "'");
-    return it->second.info;
-  });
+  SensitivityEngine sens = sensitivity_over(tables);
 
   QueryPlan out;
   for (const auto& sel : q.selects) {
     SelectPlan sp;
     double eps = sel.consuming > 0 ? sel.consuming : opts.default_epsilon;
-    std::size_t n_aggs = 0;
     for (const auto& p : sel.core.projections) {
       if (!p.agg) continue;
-      ++n_aggs;
       ReleasePlan rp;
       rp.label = p.output_name();
       rp.epsilon = eps;
@@ -701,26 +692,14 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
       rp.noise_scale = eps > 0 ? rp.sensitivity / eps : 0.0;
       sp.releases.push_back(std::move(rp));
     }
-    double key_product = 1;
-    for (const auto& g : sel.core.group_by) {
-      if (!g.keys.empty()) key_product *= static_cast<double>(g.keys.size());
-    }
-    sp.same_frame_releases = static_cast<double>(n_aggs) * key_product;
     sp.charge_per_frame = select_charge_per_frame(sel, opts.default_epsilon);
-
-    std::vector<std::string> refs;
-    collect_table_refs(*sel.core.from, &refs);
-    std::set<std::string> seen;
-    for (const auto& ref : refs) {
-      const PlannedTable& pt = tables.at(ref);
-      if (!seen.insert(pt.camera).second) continue;
-      sp.cameras.push_back(pt.camera);
-      const CameraState& cam = cameras_->at(pt.camera);
-      FrameIndex margin = to_frames_round(pt.policy.rho, cam.meta.fps);
-      sp.charges.push_back(
-          CameraCharge{pt.camera, pt.frames, margin, sp.charge_per_frame});
-      if (!cam.ledger->can_charge(pt.frames, margin, sp.charge_per_frame)) {
-        sp.admissible = false;
+    sp.charges = price_select(sel, opts.default_epsilon, tables, *cameras_);
+    for (const auto& ch : sp.charges) {
+      const BudgetLedger& ledger = *cameras_->at(ch.camera).ledger;
+      for (const auto& w : ch.windows) {
+        if (!ledger.can_charge(w.frames, w.margin, ch.epsilon)) {
+          sp.admissible = false;
+        }
       }
     }
     out.admissible = out.admissible && sp.admissible;
@@ -729,9 +708,8 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
   return out;
 }
 
-QueryResult Executor::run(const ParsedQuery& q, const RunOptions& opts) {
-  PreparedQuery pq = prepare(q, opts);
-  std::size_t n_threads = ThreadPool::resolve_threads(opts.num_threads);
+QueryResult Executor::run(PreparedQuery& pq) {
+  std::size_t n_threads = ThreadPool::resolve_threads(pq.options().num_threads);
   for (std::size_t phase = 0; phase < pq.phase_count(); ++phase) {
     const std::size_t n_tasks = pq.task_count(phase);
     std::vector<ColumnSlab> slots(n_tasks);

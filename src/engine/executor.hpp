@@ -6,24 +6,25 @@
 //      the sandbox, assembling the untrusted intermediate table with the
 //      trusted `chunk` (and `region`, `camera`) columns appended
 //   3. SELECT — validate, compute per-release sensitivity on the AST
-//      (Fig. 10), check & charge the per-frame budget ledger
-//      (lines 1-5), evaluate the raw aggregate, add Laplace noise
-//      (line 13), and emit the releases
+//      (Fig. 10), evaluate the raw aggregate, add Laplace noise (line 13),
+//      and emit the releases
 //
-// Budget accounting: a SELECT's charge per frame is
+// Budget accounting (lines 1-5) happens before PROCESS, not here: every
+// caller reserves PreparedQuery::admission_charges() through the
+// AdmissionController (engine/admission.hpp) between prepare() and the
+// first task, so the executor itself never writes a ledger. A SELECT's
+// charge per frame is
 //     ε_release x (#aggregate projections) x Π|WITH KEYS|
 // Releases grouped over *trusted* chunk bins partition the window in time,
 // so they share one charge (the Theorem E.2 cross-bin argument); releases
 // keyed by analyst columns all cover the same frames and therefore add.
 //
-// Two entry points share the same machinery:
-//   - run() executes a query synchronously (fanning the PROCESS phase over
-//     the thread pool when RunOptions::num_threads > 1);
-//   - prepare() exposes the task-granular pipeline — a PreparedQuery whose
-//     chunk-level tasks an external scheduler (service/scheduler.hpp) can
-//     interleave with other queries' tasks. run() is exactly
-//     prepare + run every task + assemble + finish, so the two paths
-//     produce byte-identical releases, sensitivities and ledger charges.
+// prepare() exposes the task-granular pipeline — a PreparedQuery whose
+// chunk-level tasks an external scheduler (service/scheduler.hpp) can
+// interleave with other queries' tasks; run() drives the same tasks on
+// the caller's thread (fanning PROCESS over the thread pool when
+// RunOptions::num_threads > 1). Both produce byte-identical releases and
+// sensitivities.
 #pragma once
 
 #include <map>
@@ -77,9 +78,8 @@ struct RunOptions {
   // bench uses it to compute the paper's accuracy metrics.
   bool reveal_raw = false;
   // Skip the budget ledger (owner-side what-if runs, e.g. parameter
-  // sweeps). Analyst-facing deployments keep this true. The query service
-  // also clears it on the execution path — admission control charges the
-  // full query cost at submit time instead (service/admission.hpp).
+  // sweeps). Analyst-facing deployments keep this true. Read only by
+  // AdmissionController::reserve (engine/admission.hpp).
   bool charge_budget = true;
   // PROCESS-phase parallelism: chunk x region sandbox invocations fan out
   // across this many threads. 0 = all hardware threads, 1 = the sequential
@@ -89,22 +89,11 @@ struct RunOptions {
   std::size_t num_threads = 1;
   // Chunk-output caching (see engine/chunk_cache.hpp): kOff recomputes
   // every chunk, kShared consults the executor's shared cache (the Privid
-  // facade passes its process-wide one), kPerQuery uses a throwaway cache
-  // that only deduplicates within this query (identical chunk sets feeding
-  // several PROCESS statements). kDefault resolves from the PRIVID_CACHE
-  // env var, off when unset. Caching never changes results: releases,
-  // sensitivities and budget charges are byte-identical in every mode.
+  // facade passes its process-wide one). kDefault resolves from the
+  // PRIVID_CACHE env var, off when unset. Caching never changes results:
+  // releases, sensitivities and budget charges are byte-identical in every
+  // mode.
   CacheMode cache = CacheMode::kDefault;
-  // Bounded retry for *transient* per-task failures (TransientError:
-  // sandbox-worker startup death, single-flight leader crash — not
-  // executable crashes, which Appendix B converts to a default row
-  // in-sandbox). Each task re-attempts immediately up to this many extra
-  // times before the error fails the query; the re-attempt recomputes the
-  // same pure function, so a recovered retry is byte-identical to a
-  // never-failed run. Backoff is deterministic by construction: the
-  // sandbox is in-process (nothing to wait out) and a wall-clock sleep
-  // would be both useless and nondeterministic.
-  std::size_t sandbox_retries = 2;
   // Per-query deadline in scheduler rounds, 0 = none. Service-path only
   // (engine-direct runs have no scheduler): a query still unfinished when
   // the service scheduler has dispatched this many more rounds is
@@ -148,27 +137,33 @@ struct ReleasePlan {
 };
 
 // The ledger charge one SELECT makes against one camera — the unit the
-// admission controller reserves at submit time and refunds on abort.
+// admission controller reserves before PROCESS and refunds on abort.
 struct CameraCharge {
+  // One table the SELECT reads on this camera.
+  struct Window {
+    FrameInterval frames;   // the table's split window, camera frame space
+    FrameIndex margin = 0;  // the table's own ρ widening, checked only
+  };
   std::string camera;
-  FrameInterval frames;   // charged interval (camera frame space)
-  FrameIndex margin = 0;  // ρ widening, checked but not charged
-  double epsilon = 0;     // charge_per_frame of the owning SELECT
+  std::vector<Window> windows;  // each checked, widened, before the SELECT
+  // The union of the windows' frames (ascending, disjoint): charged once
+  // per frame however many tables cover it.
+  std::vector<FrameInterval> charged;
+  double epsilon = 0;  // charge_per_frame of the owning SELECT
 };
 
 struct SelectPlan {
   std::vector<ReleasePlan> releases;   // one per aggregate projection
-  // Releases that consume budget on the same frames: aggregates x declared
-  // keys (trusted time bins add releases but not same-frame charge).
-  double same_frame_releases = 1;
+  // ε per charged frame: ε x aggregates x declared keys (trusted time bins
+  // add releases but not same-frame charge).
   double charge_per_frame = 0;
-  std::vector<std::string> cameras;
-  // The concrete ledger charges this SELECT would make, one per distinct
-  // camera — exactly what Executor::run charges, so reserving these at
-  // admission time and running with charge_budget = false leaves the
-  // ledger byte-identical to a direct run.
+  // The ledger charges admission would reserve for this SELECT, one per
+  // distinct camera (the pricing PreparedQuery::admission_charges uses).
   std::vector<CameraCharge> charges;
-  bool admissible = true;              // budget check at plan time
+  // This SELECT's windows fit the current ledgers on their own. Admission
+  // reserves all SELECTs cumulatively, so a query whose SELECTs fit only
+  // one at a time is denied there, with nothing charged.
+  bool admissible = true;
 };
 
 struct QueryPlan {
@@ -213,8 +208,9 @@ class Executor;
 // rows. assemble appends slot outputs in sequential task order, which is
 // what makes the final table — and everything derived from it — byte-
 // identical to a sequential run. finish runs the SELECT phase: sensitivity,
-// budget (when opts.charge_budget), aggregation and noise from the Rng the
-// executor was built with.
+// aggregation and noise from the Rng the executor was built with. The
+// budget is not charged here: callers reserve admission_charges() through
+// the AdmissionController before the first task.
 //
 // Lifetimes: the ParsedQuery, camera map, registry, rng, caches and
 // single-flight registry passed to the Executor must outlive this object.
@@ -244,11 +240,14 @@ class PreparedQuery {
   QueryResult finish();
 
   // The ledger charges admission control must reserve for this query: one
-  // CameraCharge per (SELECT, distinct camera) in execution order —
-  // byte-for-byte what finish() charges when opts.charge_budget is set,
+  // CameraCharge per (SELECT, distinct camera) in execution order,
   // computed from the already-resolved phases (no second SPLIT
-  // resolution or sensitivity pass).
+  // resolution or sensitivity pass). Executor::plan prices through the
+  // same function.
   std::vector<CameraCharge> admission_charges() const;
+
+  // The options the query was prepared with (cache mode resolved).
+  const RunOptions& options() const { return opts_; }
 
  private:
   friend class Executor;
@@ -284,9 +283,8 @@ class PreparedQuery {
   std::map<std::string, CameraState>* cameras_ = nullptr;
   Rng* noise_rng_ = nullptr;
   const query::ParsedQuery* q_ = nullptr;
-  RunOptions opts_;                              // cache mode resolved
-  ChunkCache* cache_ = nullptr;                  // null when uncached
-  std::unique_ptr<ChunkCache> per_query_cache_;  // owns kPerQuery storage
+  RunOptions opts_;              // cache mode resolved
+  ChunkCache* cache_ = nullptr;  // null when uncached
   SingleFlight* inflight_ = nullptr;
   CacheStats before_;
   std::vector<Phase> phases_;
@@ -298,8 +296,7 @@ class Executor {
   // `pool` (optional, non-owning) serves RunOptions::num_threads > 1; when
   // null every query runs on the calling thread regardless of the option.
   // `shared_cache` (optional, non-owning) serves CacheMode::kShared; when
-  // null a kShared run degrades to uncached (kPerQuery still works — the
-  // executor owns that cache for the duration of the run).
+  // null a kShared run degrades to uncached.
   // `inflight` (optional, non-owning) single-flights identical chunk tasks
   // across concurrent queries sharing the registry (the query service
   // passes one per service); when null every miss computes.
@@ -308,12 +305,14 @@ class Executor {
            ThreadPool* pool = nullptr, ChunkCache* shared_cache = nullptr,
            SingleFlight* inflight = nullptr);
 
-  QueryResult run(const query::ParsedQuery& q, const RunOptions& opts);
-
   // Decomposes the query into chunk-level tasks without running any (see
   // PreparedQuery). Validates and resolves every SPLIT up front, so the
-  // same failures run() would hit during PROCESS surface here instead.
+  // same failures PROCESS would hit surface here instead.
   PreparedQuery prepare(const query::ParsedQuery& q, const RunOptions& opts);
+
+  // Runs every task of `pq` on the caller's thread (or the pool), then
+  // assembles and finishes it. The caller reserves its budget first.
+  QueryResult run(PreparedQuery& pq);
 
   // Validates and costs the query without executing it (see QueryPlan).
   QueryPlan plan(const query::ParsedQuery& q, const RunOptions& opts) const;

@@ -143,7 +143,12 @@ ThreadPool* Privid::pool_for_locked(std::size_t num_threads) {
 QueryResult Privid::execute(const query::ParsedQuery& q, RunOptions opts) {
   Executor exec(&cameras_, &registry_, &noise_rng_, pool_for(opts.num_threads),
                 cache_.get());
-  return exec.run(q, opts);
+  PreparedQuery pq = exec.prepare(q, opts);
+  // ~Reservation refunds if PROCESS or the release throws.
+  Reservation reservation = admission_.reserve(pq);
+  QueryResult result = exec.run(pq);
+  reservation.commit();
+  return result;
 }
 
 QueryPlan Privid::plan(const std::string& query_text, RunOptions opts) const {
@@ -186,7 +191,7 @@ service::QueryService& Privid::service() {
     // Lend the facade's pool so execute() and the service share one set
     // of workers (ROADMAP: one engine pool, not one per subsystem).
     service_ = std::make_unique<service::QueryService>(
-        &cameras_, &registry_, cache_.get(), config,
+        &cameras_, &registry_, cache_.get(), &admission_, config,
         pool_for_locked(config.num_threads));
   }
   return *service_;
@@ -201,7 +206,7 @@ service::QueryService& Privid::configure_service(
   }
   if (config.noise_seed == 0) config.noise_seed = noise_seed_;
   service_ = std::make_unique<service::QueryService>(
-      &cameras_, &registry_, cache_.get(), config,
+      &cameras_, &registry_, cache_.get(), &admission_, config,
       pool_for_locked(config.num_threads));
   return *service_;
 }

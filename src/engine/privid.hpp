@@ -16,6 +16,10 @@
 //
 // Guarantee (Theorems 6.1/6.2): with policy (ρ, K) and per-frame budget ε_C
 // per camera, the sequence of all accepted queries is (ρ, K, ε_C)-private.
+// The facade owns the one AdmissionController (engine/admission.hpp) that
+// writes the ledgers: execute(), standing queries and the query service
+// all pay for a query through a single atomic reservation before its first
+// PROCESS task, so every path prices and denies identically.
 #pragma once
 
 #include <iosfwd>
@@ -25,6 +29,7 @@
 #include <shared_mutex>
 #include <string>
 
+#include "engine/admission.hpp"
 #include "engine/executor.hpp"
 // privcheck:allow(layering): the Privid facade composes the multi-analyst
 // QueryService for owners who want admission + fair-share out of the box.
@@ -52,7 +57,8 @@ class Privid {
   // The source must be quiescent; a query service on either side is
   // drained and discarded by the move (it holds pointers into its
   // facade's camera map, which do not travel) — move right after
-  // registration, before serving queries.
+  // registration, before serving queries. The admission controller is
+  // not moved: each facade's stays bound to its own camera map.
   Privid(Privid&& other) noexcept;
   Privid& operator=(Privid&& other) noexcept;
 
@@ -75,24 +81,30 @@ class Privid {
 
   bool has_camera(const std::string& id) const;
 
-  // Parses, validates and executes a query. Throws ParseError /
-  // ValidationError / SensitivityError / BudgetError per failure class.
+  // Parses, validates and executes a query: prepare, reserve the whole
+  // query's budget (every SELECT, every camera, atomically), PROCESS,
+  // release, commit. Throws ParseError / ValidationError /
+  // SensitivityError, or BudgetError when admission denies the query —
+  // then nothing was charged and no executable ran. A query that fails
+  // after admission (e.g. retries exhausted) refunds its reservation.
   QueryResult execute(const std::string& query_text, RunOptions opts = {});
   QueryResult execute(const query::ParsedQuery& q, RunOptions opts = {});
 
   // Dry run: validates the query, computes per-release sensitivity / noise
-  // scale and checks admissibility against the current ledgers — without
-  // processing a single chunk or consuming budget. Each SELECT is checked
-  // against the current state (a multi-SELECT query may still be denied
-  // mid-execution if its own earlier releases deplete the budget).
+  // scale, prices its ledger charges exactly as admission would, and
+  // checks admissibility against the current ledgers — without processing
+  // a single chunk or consuming budget. Each SELECT is checked on its own;
+  // admission reserves them cumulatively, so a multi-SELECT query that
+  // only fits one SELECT at a time is denied at admission, whole.
   QueryPlan plan(const std::string& query_text, RunOptions opts = {}) const;
   QueryPlan plan(const query::ParsedQuery& q, RunOptions opts = {}) const;
 
   // ---- Multi-analyst query service (async path) ----
   //
-  // The service front door: per-analyst sessions, admission control
-  // (budget reserved atomically at submit; rejection throws BudgetError
-  // from submit, nothing charged), weighted fair-share scheduling of
+  // The service front door: per-analyst sessions, admission through this
+  // facade's controller (budget reserved atomically at submit; rejection
+  // throws BudgetError from submit, nothing charged), weighted fair-share
+  // scheduling of
   // chunk tasks, and in-flight dedup of identical chunk work (see
   // service/service.hpp). Owner-side mutations on this facade
   // (register_mask, retune_camera, restore_budget, ...) serialize against
@@ -176,6 +188,8 @@ class Privid {
   }
 
   std::map<std::string, CameraState> cameras_;
+  // The one ledger writer, bound to cameras_ (never moved with it).
+  AdmissionController admission_{&cameras_};
   ExecutableRegistry registry_;
   Rng noise_rng_;
   std::uint64_t noise_seed_;

@@ -46,18 +46,6 @@ bool BudgetLedger::can_charge(FrameInterval interval, FrameIndex margin,
   return can_charge_locked(interval, margin, epsilon);
 }
 
-void BudgetLedger::charge(FrameInterval interval, FrameIndex margin,
-                          double epsilon) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!can_charge_locked(interval, margin, epsilon)) {
-    throw BudgetError("insufficient budget over [" +
-                      std::to_string(interval.begin - margin) + ", " +
-                      std::to_string(interval.end + margin) + ") for epsilon " +
-                      std::to_string(epsilon));
-  }
-  spent_.add(interval.begin, interval.end, epsilon);
-}
-
 bool BudgetLedger::try_reserve(FrameInterval interval, FrameIndex margin,
                                double epsilon) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -8,13 +8,19 @@
 // The margin guarantees no single ≤ρ event segment can straddle two
 // temporally disjoint queries with independent budgets (Appendix E.2).
 //
-// Concurrency: every operation is atomic under an internal mutex, so the
-// multi-analyst query service can hit one camera's ledger from many
-// threads. try_reserve is the admission primitive — check + charge in one
-// critical section, so two analysts racing for the last ε serialize and
-// exactly one wins. A reservation *is* a charge; "commit" is the absence
-// of a refund (see service/admission.hpp), and refund exactly reverses a
-// prior charge when the admitted query later aborts.
+// Writers: besides an owner-side restore (move-assigning a loaded ledger),
+// try_reserve and refund are the only mutators, and the admission
+// controller (engine/admission.hpp) is their only caller — every query,
+// synchronous or served, pays through one admission reservation. A
+// reservation *is* a charge; "commit" is the absence of a refund, and
+// refund exactly reverses a prior charge when the admitted query later
+// aborts.
+//
+// Concurrency: every operation is atomic under an internal mutex, so
+// owner-side readers and many analysts' queries can hit one camera's
+// ledger from many threads. try_reserve checks and charges in one critical
+// section, so two reservations racing for the last ε serialize and exactly
+// one wins.
 //
 // Backed by an IntervalMap so cost is O(log n) per query, independent of
 // video length.
@@ -45,16 +51,10 @@ class BudgetLedger {
   bool can_charge(FrameInterval interval, FrameIndex margin,
                   double epsilon) const;
 
-  // Charges `epsilon` to every frame in `interval` (no margin). Throws
-  // BudgetError if can_charge would be false — callers must check first,
-  // but the ledger re-verifies to keep the invariant unconditional.
-  void charge(FrameInterval interval, FrameIndex margin, double epsilon);
-
-  // Atomic check-and-charge: charges `epsilon` to `interval` and returns
-  // true iff the widened interval had it to give; otherwise the ledger is
-  // untouched and the call returns false instead of throwing. This is the
-  // admission-control primitive — unlike can_charge-then-charge it cannot
-  // lose a race between the check and the charge.
+  // Atomic check-and-charge: charges `epsilon` to every frame in
+  // `interval` (not the margin) and returns true iff the widened interval
+  // had it to give; otherwise the ledger is untouched and the call returns
+  // false. The admission-control primitive.
   bool try_reserve(FrameInterval interval, FrameIndex margin, double epsilon);
 
   // Exactly reverses a prior charge of `epsilon` over `interval` (the

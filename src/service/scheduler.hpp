@@ -45,7 +45,7 @@
 #include "engine/executor.hpp"
 #include "obs/metrics.hpp"
 #include "query/ast.hpp"
-#include "service/admission.hpp"
+#include "engine/admission.hpp"
 
 namespace privid::service {
 
@@ -77,8 +77,7 @@ struct QueryJob {
   std::unique_ptr<engine::Executor> exec;
   std::unique_ptr<engine::PreparedQuery> prepared;
   std::vector<std::vector<ColumnSlab>> slots;  // [phase][task]
-  Reservation reservation;
-  double reserved_epsilon = 0;
+  engine::Reservation reservation;
   std::size_t total_tasks = 0;
   std::size_t tasks_done = 0;  // dispatcher-only
   // Started at submit; observed into sched.queue_wait when the first task

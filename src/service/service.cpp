@@ -20,30 +20,30 @@ const std::string& QueryTicket::analyst() const {
 
 QueryService::QueryService(std::map<std::string, engine::CameraState>* cameras,
                            const engine::ExecutableRegistry* registry,
-                           engine::ChunkCache* shared_cache, Config config,
-                           ThreadPool* shared_pool)
+                           engine::ChunkCache* shared_cache,
+                           engine::AdmissionController* admission,
+                           Config config, ThreadPool* shared_pool)
     : cameras_(cameras), registry_(registry), shared_cache_(shared_cache),
       config_(config), cache_mode_(engine::resolve_cache_mode(config.cache)),
-      sessions_(config.noise_seed), admission_(cameras) {
-  if (!cameras || !registry) {
-    throw ArgumentError("QueryService requires cameras and registry");
+      sessions_(config.noise_seed), admission_(admission) {
+  if (!cameras || !registry || !admission) {
+    throw ArgumentError(
+        "QueryService requires cameras, registry and admission");
   }
   std::size_t threads = ThreadPool::resolve_threads(config_.num_threads);
   if (threads > 1) {
-    pool_ = shared_pool;
-    if (pool_ == nullptr) {
-      owned_pool_ = std::make_unique<ThreadPool>(threads - 1);
-      pool_ = owned_pool_.get();
+    if (shared_pool == nullptr) {
+      throw ArgumentError("QueryService with threads > 1 requires a pool");
     }
+    pool_ = shared_pool;
   }
   scheduler_ = std::make_unique<QueryScheduler>(
       pool_, threads, config_.round_tasks, &owner_mu_,
       [this](QueryJob& job, bool ok) {
         AnalystSession& session = sessions_.get_or_create(job.analyst);
         if (ok) {
-          session.record_completed(job.reservation.committed()
-                                       ? job.reserved_epsilon
-                                       : 0.0);
+          // ok means finalize committed the reservation.
+          session.record_completed(job.reservation.total_epsilon());
           c_completed_->add();
           return;
         }
@@ -106,25 +106,19 @@ QueryTicket QueryService::submit(const std::string& analyst,
 
   engine::RunOptions exec_opts = opts;
   exec_opts.cache = cache_mode_;  // service policy overrides the caller's
-  // The run itself never touches the ledger: admission charges the full
-  // plan-computed cost below (or the owner opted out via charge_budget).
-  exec_opts.charge_budget = false;
 
   // Decompose first (validates and resolves everything), then admit — a
   // malformed query must not briefly hold budget.
   job->prepared = std::make_unique<engine::PreparedQuery>(
       job->exec->prepare(job->parsed, exec_opts));
 
-  if (opts.charge_budget) {
-    try {
-      job->reservation = admission_.reserve(job->prepared->admission_charges());
-    } catch (const BudgetError&) {
-      session.record_rejected();
-      c_rejected_->add();
-      if (span.active()) span.tag("outcome", "rejected");
-      throw;
-    }
-    job->reserved_epsilon = job->reservation.total_epsilon();
+  try {
+    job->reservation = admission_->reserve(*job->prepared);
+  } catch (const BudgetError&) {
+    session.record_rejected();
+    c_rejected_->add();
+    if (span.active()) span.tag("outcome", "rejected");
+    throw;
   }
 
   job->deadline_rounds = opts.deadline_rounds;

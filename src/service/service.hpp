@@ -7,11 +7,12 @@
 //
 //   - per-analyst sessions (service/session.hpp): fair-share weight, a
 //     private deterministic noise stream per query, accounting;
-//   - admission control (service/admission.hpp): the full query cost is
+//   - admission control (engine/admission.hpp, the facade's controller —
+//     the same one Privid::execute pays through): the full query cost is
 //     reserved against every involved camera's ledger atomically at
 //     submit; insufficient budget rejects at the door (BudgetError from
-//     submit) instead of failing mid-run, and an admitted query that
-//     later aborts is refunded exactly once;
+//     submit), and an admitted query that later aborts is refunded exactly
+//     once;
 //   - weighted fair-share scheduling (service/scheduler.hpp): admitted
 //     queries decompose into chunk-level tasks interleaved on the shared
 //     thread pool, so a flood from one analyst cannot starve another;
@@ -24,10 +25,11 @@
 // byte-identical whether it runs alone or amid arbitrary concurrent load,
 // at any thread count. Releases depend only on (service seed, analyst id,
 // the analyst's submission ordinal) and the query itself; ledger charges
-// are the plan-computed amounts a direct Privid::execute would have
-// charged. Note the service's noise streams intentionally differ from
-// Privid::execute's process-wide stream — a shared sequential stream is
-// exactly what cannot be deterministic under concurrency.
+// are exactly what a direct Privid::execute reserves (both price through
+// PreparedQuery::admission_charges). Note the service's noise streams
+// intentionally differ from Privid::execute's process-wide stream — a
+// shared sequential stream is exactly what cannot be deterministic under
+// concurrency.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,7 @@
 #include "engine/executor.hpp"
 #include "engine/registry.hpp"
 #include "engine/single_flight.hpp"
-#include "service/admission.hpp"
+#include "engine/admission.hpp"
 #include "service/scheduler.hpp"
 #include "service/session.hpp"
 
@@ -82,21 +84,15 @@ class QueryService {
     std::size_t shutdown_grace_ms = 30000;
   };
 
-  // Non-owning views into the owner's registrations; all must outlive the
-  // service. `shared_cache` may be null (kShared degrades to uncached).
-  // `shared_pool` (optional, non-owning, must outlive the service) lets
-  // the facade lend its own worker pool so facade and service don't carry
-  // two full-size pools; when null and num_threads resolves > 1 the
-  // service owns one.
+  // Constructed by the Privid facade, which lends its registrations, its
+  // admission controller and its worker pool; all are non-owning and must
+  // outlive the service. `shared_cache` may be null (kShared degrades to
+  // uncached). `shared_pool` serves num_threads > 1 and is required then.
   QueryService(std::map<std::string, engine::CameraState>* cameras,
                const engine::ExecutableRegistry* registry,
-               engine::ChunkCache* shared_cache, Config config,
-               ThreadPool* shared_pool = nullptr);
-  // Default config (all hardware threads, PRIVID_CACHE-resolved caching).
-  QueryService(std::map<std::string, engine::CameraState>* cameras,
-               const engine::ExecutableRegistry* registry,
-               engine::ChunkCache* shared_cache)
-      : QueryService(cameras, registry, shared_cache, Config{}) {}
+               engine::ChunkCache* shared_cache,
+               engine::AdmissionController* admission, Config config,
+               ThreadPool* shared_pool);
   ~QueryService();  // drains every in-flight query first
 
   QueryService(const QueryService&) = delete;
@@ -110,9 +106,9 @@ class QueryService {
   // Parses, validates, plans and admits the query, then enqueues its chunk
   // tasks; returns immediately. Throws ParseError / ValidationError /
   // SensitivityError for malformed queries and BudgetError when admission
-  // denies it (nothing charged). opts.charge_budget = false skips
-  // admission entirely (owner-side what-if runs); opts.cache is
-  // overridden by the service's configured mode.
+  // denies it (nothing charged). opts.charge_budget = false reserves
+  // nothing (owner-side what-if runs); opts.cache is overridden by the
+  // service's configured mode.
   QueryTicket submit(const std::string& analyst,
                      const std::string& query_text,
                      engine::RunOptions opts = {});
@@ -170,9 +166,8 @@ class QueryService {
 
   std::shared_mutex owner_mu_;
   SessionRegistry sessions_;
-  AdmissionController admission_;
+  engine::AdmissionController* admission_;
   engine::SingleFlight inflight_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // only when no pool was lent
   ThreadPool* pool_ = nullptr;  // null when num_threads resolves to 1
   std::unique_ptr<QueryScheduler> scheduler_;
 

@@ -1,9 +1,8 @@
 // Chunk-output cache tests: fingerprint framing, LRU eviction at the byte
 // budget, hit/miss stats, epoch invalidation on mask re-registration and
 // re-tuning, and the core guarantee — releases, sensitivities and
-// budget-ledger charges are bit-identical with the cache off vs. shared
-// (and per-query) at any thread count, on grouped, keyed and standing
-// queries.
+// budget-ledger charges are bit-identical with the cache off vs. shared at
+// any thread count, on grouped, keyed and standing queries.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -253,7 +252,6 @@ TEST(ChunkCache, ClearKeepsCounters) {
 TEST(ChunkCache, EnvResolution) {
   EXPECT_EQ(resolve_cache_mode(CacheMode::kOff), CacheMode::kOff);
   EXPECT_EQ(resolve_cache_mode(CacheMode::kShared), CacheMode::kShared);
-  EXPECT_EQ(resolve_cache_mode(CacheMode::kPerQuery), CacheMode::kPerQuery);
   // kDefault follows PRIVID_CACHE; with the variable unset it must be off.
   if (!std::getenv("PRIVID_CACHE")) {
     EXPECT_EQ(resolve_cache_mode(CacheMode::kDefault), CacheMode::kOff);
@@ -276,33 +274,6 @@ TEST(ChunkCache, SharedModeHitsOnRepeatedQuery) {
   EXPECT_EQ(s.hits, 20u);
   EXPECT_EQ(s.misses, 20u);
   EXPECT_EQ(s.entries, 20u);
-}
-
-TEST(ChunkCache, PerQueryModeDeduplicatesWithinOneQuery) {
-  // Two PROCESS statements over the same chunk set and executable: the
-  // second is served from the per-query cache, and nothing leaks into the
-  // facade's shared cache.
-  constexpr const char* kTwoProcess =
-      "SPLIT cam BEGIN 0 END 100 BY TIME 5 STRIDE 0 INTO c;"
-      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
-      "WITH SCHEMA (seen:NUMBER=0) INTO t1;"
-      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
-      "WITH SCHEMA (seen:NUMBER=0) INTO t2;"
-      "SELECT COUNT(*) FROM t1; SELECT COUNT(*) FROM t2;";
-  Privid cached = make_system();
-  RunOptions opts;
-  opts.reveal_raw = true;
-  opts.cache = CacheMode::kPerQuery;
-  auto result = cached.execute(kTwoProcess, opts);
-  EXPECT_EQ(result.cache.misses, 20u);
-  EXPECT_EQ(result.cache.hits, 20u);
-  EXPECT_EQ(cached.cache_stats().entries, 0u);  // shared cache untouched
-
-  Privid uncached = make_system();
-  RunOptions off = opts;
-  off.cache = CacheMode::kOff;
-  expect_releases_identical(uncached.execute(kTwoProcess, off).releases,
-                            result.releases);
 }
 
 // --------------------------------------------------- the core guarantee

@@ -433,18 +433,119 @@ TEST(Budgeting, DisjointWindowsHaveSeparateBudgets) {
 
 TEST(Executor, MultiSelectChargesSequentially) {
   // Two SELECTs in one query are separate data releases: each consumes its
-  // own epsilon from the same frames.
+  // own epsilon from the same frames, so admission reserves them
+  // cumulatively — and atomically: a query whose second SELECT does not
+  // fit is denied whole, before any executable runs.
   Privid sys = make_system(3, 10, 1, /*budget=*/1.5);
+  auto calls = std::make_shared<int>(0);
+  sys.register_executable("tally", [calls](const ChunkView&) {
+    ++*calls;
+    return ExecOutput{};
+  });
   const char* q =
       "SPLIT cam BEGIN 0 END 60 BY TIME 5 STRIDE 0 INTO c;"
-      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "PROCESS c USING tally TIMEOUT 1 PRODUCING 3 ROWS "
       "WITH SCHEMA (seen:NUMBER=0) INTO t;"
       "SELECT COUNT(*) FROM t CONSUMING 1.0;"
       "SELECT COUNT(seen) FROM t CONSUMING 1.0;";
-  // Second SELECT exceeds the remaining 0.5: whole query denied mid-way —
-  // the first release was already charged.
+  std::ostringstream before;
+  sys.save_budget("cam", before);
   EXPECT_THROW(sys.execute(q), BudgetError);
-  EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 100), 0.5);
+  std::ostringstream after;
+  sys.save_budget("cam", after);
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(*calls, 0);
+}
+
+// A second SPLIT window on the same camera is charged too: per SELECT and
+// camera, ε is charged once per frame of the union of the windows read.
+// Each query reads a fresh t1 window and the same t2 window [1500, 1550),
+// so with ε_C = 1 and ε = 1 at most one of them may be accepted — through
+// execute(), through the service, and as plan() prices it.
+std::string same_camera_union_query(int i) {
+  const int b = 50 * i;  // t1 windows 30 s apart: wider than 2ρ = 20 s
+  return "SPLIT cam BEGIN " + std::to_string(b) + " END " +
+         std::to_string(b + 20) +
+         " BY TIME 5 STRIDE 0 INTO c1;"
+         "SPLIT cam BEGIN 1500 END 1550 BY TIME 5 STRIDE 0 INTO c2;"
+         "PROCESS c1 USING count TIMEOUT 1 PRODUCING 3 ROWS "
+         "WITH SCHEMA (seen:NUMBER=0) INTO t1;"
+         "PROCESS c2 USING count TIMEOUT 1 PRODUCING 3 ROWS "
+         "WITH SCHEMA (seen:NUMBER=0) INTO t2;"
+         "SELECT COUNT(*) FROM t1 UNION t2 CONSUMING 1.0;";
+}
+
+TEST(Budgeting, SameCameraWindowsAreChargedTheirUnion) {
+  constexpr int kAttempts = 10;
+  {
+    Privid sys = make_system(80, 10, 1, /*budget=*/1.0);
+    int accepted = 0;
+    for (int i = 0; i < kAttempts; ++i) {
+      try {
+        sys.execute(same_camera_union_query(i));
+        ++accepted;
+      } catch (const BudgetError&) {
+      }
+    }
+    EXPECT_LE(accepted, 1);
+    EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 15200), 0.0);  // t = 1520 s
+  }
+  {
+    Privid sys = make_system(80, 10, 1, /*budget=*/1.0);
+    int accepted = 0;
+    for (int i = 0; i < kAttempts; ++i) {
+      try {
+        sys.wait(sys.submit("alice", same_camera_union_query(i)));
+        ++accepted;
+      } catch (const BudgetError&) {
+      }
+    }
+    EXPECT_LE(accepted, 1);
+    EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 15200), 0.0);
+  }
+  {
+    Privid sys = make_system(80, 10, 1, /*budget=*/1.0);
+    int admissible = 0;
+    for (int i = 0; i < kAttempts; ++i) {
+      const std::string q = same_camera_union_query(i);
+      if (!sys.plan(q).admissible) continue;
+      ++admissible;
+      sys.execute(q);
+    }
+    EXPECT_LE(admissible, 1);
+  }
+}
+
+TEST(Planner, PricesEverySameCameraWindow) {
+  Privid sys = make_system(80, 10, 1, /*budget=*/1.0);
+  const QueryPlan plan = sys.plan(same_camera_union_query(0));
+  const auto& charges = plan.selects[0].charges;
+  ASSERT_EQ(charges.size(), 1u);
+  EXPECT_EQ(charges[0].camera, "cam");
+  EXPECT_DOUBLE_EQ(charges[0].epsilon, 1.0);
+  // Each window checked with the table's ρ margin (10 s at 10 fps) ...
+  ASSERT_EQ(charges[0].windows.size(), 2u);
+  EXPECT_EQ(charges[0].windows[0].frames, (FrameInterval{0, 200}));
+  EXPECT_EQ(charges[0].windows[1].frames, (FrameInterval{15000, 15500}));
+  EXPECT_EQ(charges[0].windows[0].margin, 100);
+  // ... and their union charged once per frame: overlapping windows merge.
+  EXPECT_EQ(charges[0].charged,
+            (std::vector<FrameInterval>{{0, 200}, {15000, 15500}}));
+  const std::string overlapping =
+      "SPLIT cam BEGIN 0 END 30 BY TIME 5 STRIDE 0 INTO c1;"
+      "SPLIT cam BEGIN 20 END 50 BY TIME 5 STRIDE 0 INTO c2;"
+      "PROCESS c1 USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO t1;"
+      "PROCESS c2 USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO t2;"
+      "SELECT COUNT(*) FROM t1 UNION t2;";
+  EXPECT_EQ(sys.plan(overlapping).selects[0].charges[0].charged,
+            (std::vector<FrameInterval>{{0, 500}}));
+  // Two windows closer than 2ρ do not deny each other within one SELECT.
+  EXPECT_TRUE(sys.plan(overlapping).admissible);
+  EXPECT_NO_THROW(sys.execute(overlapping));
+  EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 250), 0.0);
+  EXPECT_DOUBLE_EQ(sys.remaining_budget("cam", 500), 1.0);
 }
 
 TEST(Executor, OverlappingStrideProcessesEveryChunk) {
@@ -611,10 +712,10 @@ TEST(Planner, ReportsKeyMultipliedCharge) {
       "WITH SCHEMA (seen:NUMBER=0) INTO t;"
       "SELECT seen, COUNT(*) FROM t GROUP BY seen WITH KEYS [0, 1, 2];");
   ASSERT_EQ(plan.selects.size(), 1u);
-  EXPECT_DOUBLE_EQ(plan.selects[0].same_frame_releases, 3.0);
   EXPECT_DOUBLE_EQ(plan.selects[0].charge_per_frame, 3.0);
-  ASSERT_EQ(plan.selects[0].cameras.size(), 1u);
-  EXPECT_EQ(plan.selects[0].cameras[0], "cam");
+  ASSERT_EQ(plan.selects[0].charges.size(), 1u);
+  EXPECT_EQ(plan.selects[0].charges[0].camera, "cam");
+  EXPECT_DOUBLE_EQ(plan.selects[0].charges[0].epsilon, 3.0);
 }
 
 TEST(Planner, RejectsInvalidQueries) {
@@ -731,6 +832,23 @@ TEST(Facade, BudgetSurvivesRestart) {
   Privid third = make_system(3, 10, 1, /*budget=*/5.0);
   std::istringstream is2(saved.str());
   EXPECT_THROW(third.restore_budget("cam", is2), ArgumentError);
+}
+
+TEST(Facade, MovedSystemReservesAgainstItsOwnCameras) {
+  // The admission controller is rebound, not moved: a moved-to facade
+  // reserves against the camera map it now owns, on every path.
+  Privid source = make_system(3, 10, 1, /*budget=*/2.0);
+  Privid moved(std::move(source));
+  EXPECT_NO_THROW(moved.execute(kCountQuery));
+  EXPECT_DOUBLE_EQ(moved.remaining_budget("cam", 100), 1.0);
+  EXPECT_NO_THROW(moved.wait(moved.submit("alice", kCountQuery)));
+  EXPECT_DOUBLE_EQ(moved.remaining_budget("cam", 100), 0.0);
+
+  Privid assigned(5);
+  assigned = std::move(moved);
+  EXPECT_THROW(assigned.execute(kCountQuery), BudgetError);
+  EXPECT_THROW(assigned.submit("alice", kCountQuery), BudgetError);
+  EXPECT_DOUBLE_EQ(assigned.remaining_budget("cam", 100), 0.0);
 }
 
 TEST(Facade, RegistrationValidation) {

@@ -108,24 +108,25 @@ TEST(Gaussian, ReleaseCentred) {
 TEST(Budget, ChargeAndRemaining) {
   BudgetLedger ledger(10.0);
   EXPECT_DOUBLE_EQ(ledger.remaining(5), 10.0);
-  ledger.charge({0, 100}, 0, 3.0);
+  ASSERT_TRUE(ledger.try_reserve({0, 100}, 0, 3.0));
   EXPECT_DOUBLE_EQ(ledger.remaining(50), 7.0);
   EXPECT_DOUBLE_EQ(ledger.remaining(100), 10.0);  // exclusive end
 }
 
 TEST(Budget, DeniesWhenExhausted) {
   BudgetLedger ledger(1.0);
-  ledger.charge({0, 10}, 0, 1.0);
+  ASSERT_TRUE(ledger.try_reserve({0, 10}, 0, 1.0));
   EXPECT_FALSE(ledger.can_charge({5, 15}, 0, 0.5));
   EXPECT_TRUE(ledger.can_charge({10, 15}, 0, 1.0));
-  EXPECT_THROW(ledger.charge({5, 15}, 0, 0.5), BudgetError);
+  EXPECT_FALSE(ledger.try_reserve({5, 15}, 0, 0.5));
+  EXPECT_DOUBLE_EQ(ledger.remaining(12), 1.0);  // denial charged nothing
 }
 
 TEST(Budget, MarginCheckedButNotCharged) {
   // The Alg. 1 rho-margin: queries need budget in [a-rho, b+rho] but only
   // consume in [a, b].
   BudgetLedger ledger(1.0);
-  ledger.charge({100, 200}, 10, 1.0);
+  ASSERT_TRUE(ledger.try_reserve({100, 200}, 10, 1.0));
   // The margin [90,100) and [200,210) was NOT charged:
   EXPECT_DOUBLE_EQ(ledger.remaining(95), 1.0);
   EXPECT_DOUBLE_EQ(ledger.remaining(205), 1.0);
@@ -139,15 +140,15 @@ TEST(Budget, MarginCheckedButNotCharged) {
 
 TEST(Budget, MinRemainingOverInterval) {
   BudgetLedger ledger(5.0);
-  ledger.charge({10, 20}, 0, 2.0);
-  ledger.charge({15, 30}, 0, 1.0);
+  ASSERT_TRUE(ledger.try_reserve({10, 20}, 0, 2.0));
+  ASSERT_TRUE(ledger.try_reserve({15, 30}, 0, 1.0));
   EXPECT_DOUBLE_EQ(ledger.min_remaining({0, 40}), 2.0);  // [15,20) spent 3
   EXPECT_DOUBLE_EQ(ledger.min_remaining({0, 10}), 5.0);
 }
 
 TEST(Budget, TotalConsumed) {
   BudgetLedger ledger(5.0);
-  ledger.charge({0, 10}, 0, 2.0);
+  ASSERT_TRUE(ledger.try_reserve({0, 10}, 0, 2.0));
   EXPECT_DOUBLE_EQ(ledger.total_consumed({0, 20}), 20.0);
 }
 
@@ -162,8 +163,7 @@ TEST(Budget, Validation) {
 TEST(Budget, ManySmallChargesUntilDepleted) {
   BudgetLedger ledger(1.0);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ledger.can_charge({0, 100}, 0, 0.1)) << "charge " << i;
-    ledger.charge({0, 100}, 0, 0.1);
+    ASSERT_TRUE(ledger.try_reserve({0, 100}, 0, 0.1)) << "charge " << i;
   }
   EXPECT_FALSE(ledger.can_charge({0, 100}, 0, 0.1));
   EXPECT_NEAR(ledger.remaining(50), 0.0, 1e-9);
@@ -171,13 +171,10 @@ TEST(Budget, ManySmallChargesUntilDepleted) {
 
 TEST(Budget, DisjointWindowsIndependent) {
   BudgetLedger ledger(1.0);
-  ledger.charge({0, 100}, 5, 1.0);
-  ledger.charge({105, 200}, 5, 1.0);  // margins [100,110) & [95,105) ok? no:
-  // Note: second charge's margin [100,110) overlaps nothing charged in
-  // [105,200)? It overlaps [0,100)? No: [100,105) is uncharged margin of
-  // first query. First charge consumed only [0,100). So min over
-  // [100,110+...] — wait, second margin is [100, 205): [100,105) uncharged,
-  // fine.
+  ASSERT_TRUE(ledger.try_reserve({0, 100}, 5, 1.0));
+  // The second window's margin [100, 105) reaches only the first one's
+  // uncharged margin, so it fits.
+  ASSERT_TRUE(ledger.try_reserve({105, 200}, 5, 1.0));
   EXPECT_DOUBLE_EQ(ledger.remaining(102), 1.0);
   EXPECT_DOUBLE_EQ(ledger.remaining(150), 0.0);
 }
@@ -194,7 +191,7 @@ TEST(Budget, TryReserveIsAtomicCheckAndCharge) {
 
 TEST(Budget, RefundExactlyReversesACharge) {
   BudgetLedger ledger(2.0);
-  ledger.charge({10, 50}, 0, 1.5);
+  ASSERT_TRUE(ledger.try_reserve({10, 50}, 0, 1.5));
   std::ostringstream before;
   BudgetLedger pristine(2.0);
   pristine.save(before);
@@ -208,14 +205,14 @@ TEST(Budget, RefundExactlyReversesACharge) {
 
 TEST(Budget, RefundBeyondSpentThrows) {
   BudgetLedger ledger(2.0);
-  ledger.charge({0, 10}, 0, 1.0);
+  ASSERT_TRUE(ledger.try_reserve({0, 10}, 0, 1.0));
   // Double refund (or refunding frames that were never charged) would mint
   // budget: the ledger refuses.
   ledger.refund({0, 10}, 1.0);
   EXPECT_THROW(ledger.refund({0, 10}, 1.0), ArgumentError);
   EXPECT_THROW(ledger.refund({100, 110}, 0.5), ArgumentError);
   BudgetLedger partial(2.0);
-  partial.charge({0, 10}, 0, 1.0);
+  ASSERT_TRUE(partial.try_reserve({0, 10}, 0, 1.0));
   EXPECT_THROW(partial.refund({0, 20}, 1.0), ArgumentError);  // [10,20) unspent
   EXPECT_DOUBLE_EQ(partial.remaining(5), 1.0);  // untouched by failed refund
 }
@@ -242,8 +239,8 @@ TEST(Budget, ConcurrentReserveOfLastEpsilonAdmitsExactlyOne) {
 
 TEST(Budget, SaveLoadRoundTrip) {
   BudgetLedger ledger(4.0);
-  ledger.charge({100, 200}, 10, 1.5);
-  ledger.charge({150, 400}, 10, 0.75);
+  ASSERT_TRUE(ledger.try_reserve({100, 200}, 10, 1.5));
+  ASSERT_TRUE(ledger.try_reserve({150, 400}, 10, 0.75));
   std::ostringstream os;
   ledger.save(os);
   std::istringstream is(os.str());
@@ -300,7 +297,7 @@ TEST_P(BudgetLedgerProperty, MatchesDenseReference) {
         << "op " << op << " [" << a << "," << b << ") margin " << margin
         << " eps " << eps;
     if (ref_ok) {
-      ledger.charge({a, b}, margin, eps);
+      ASSERT_TRUE(ledger.try_reserve({a, b}, margin, eps));
       for (std::int64_t f = a; f < b; ++f) {
         spent[static_cast<std::size_t>(f)] += eps;
       }

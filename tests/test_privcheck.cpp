@@ -88,15 +88,21 @@ TEST(Privcheck, PrivacyReleaseAllowedAtReleasePoints) {
 }
 
 TEST(Privcheck, PrivacyLedgerFiresOutsideAdmission) {
-  Report r = run_one("src/engine/evil.cpp",
-                     "bool f(privid::BudgetLedger* led) {\n"
-                     "  led->charge({0, 10}, 0, 1.0);\n"
-                     "  return led->try_reserve({0, 10}, 0, 1.0);\n"
-                     "}\n");
-  auto fs = active(r, "privacy-ledger");
-  ASSERT_EQ(fs.size(), 2u);
-  EXPECT_EQ(fs[0].line, 2);
-  EXPECT_EQ(fs[1].line, 3);
+  // The executor is a release point but no longer a ledger writer.
+  const char* body =
+      "bool f(privid::BudgetLedger* led) {\n"
+      "  bool ok = led->can_charge({0, 10}, 0, 1.0);\n"
+      "  return ok && led->try_reserve({0, 10}, 0, 1.0);\n"
+      "}\n";
+  for (const char* path : {"src/engine/evil.cpp", "src/engine/executor.cpp",
+                           "src/service/service.cpp"}) {
+    auto fs = active(run_one(path, body), "privacy-ledger");
+    ASSERT_EQ(fs.size(), 1u) << path;
+    EXPECT_EQ(fs[0].line, 3);
+  }
+  EXPECT_TRUE(
+      active(run_one("src/engine/admission.cpp", body), "privacy-ledger")
+          .empty());
 }
 
 TEST(Privcheck, ExecOutputFiresOutsideSandboxBoundary) {

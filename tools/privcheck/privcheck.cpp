@@ -44,9 +44,10 @@ bool path_allowed(const std::string& path, const Allowlist& list) {
 }
 
 const Allowlist kReleasePoints = {"src/privacy/", "src/engine/executor.cpp"};
-const Allowlist kLedgerCallers = {"src/privacy/", "src/engine/executor.cpp",
-                                  "src/service/admission.cpp",
-                                  "src/service/admission.hpp"};
+// Admission is the ledger's one writer: every query pays through a single
+// reservation there (see src/engine/admission.hpp).
+const Allowlist kLedgerCallers = {"src/privacy/", "src/engine/admission.cpp",
+                                  "src/engine/admission.hpp"};
 const Allowlist kSandboxBoundary = {"src/engine/sandbox.hpp",
                                     "src/engine/sandbox.cpp"};
 const Allowlist kRngFiles = {"src/common/rng.hpp", "src/common/rng.cpp"};
@@ -233,14 +234,11 @@ void check_privacy_release(const Ctx& ctx, const Line& ln, int n) {
 
 void check_privacy_ledger(const Ctx& ctx, const Line& ln, int n) {
   if (path_allowed(ctx.path, kLedgerCallers)) return;
-  for (const char* sym : {"charge", "try_reserve"}) {
-    if (has_method_call(ln.code, sym) ||
-        has_qualified(ln.code, "BudgetLedger", sym)) {
-      ctx.emit("privacy-ledger", n,
-               std::string("BudgetLedger::") + sym +
-                   " is callable only from executor release points and "
-                   "service admission");
-    }
+  if (has_method_call(ln.code, "try_reserve") ||
+      has_qualified(ln.code, "BudgetLedger", "try_reserve")) {
+    ctx.emit("privacy-ledger", n,
+             "BudgetLedger::try_reserve is callable only from admission "
+             "(src/engine/admission.*)");
   }
 }
 
@@ -579,8 +577,7 @@ std::string rule_catalog() {
   return
       "privacy-release     Laplace/Gaussian mechanisms only at release "
       "points\n"
-      "privacy-ledger      BudgetLedger charge/try_reserve only at release "
-      "points + admission\n"
+      "privacy-ledger      BudgetLedger try_reserve only in admission\n"
       "exec-output         untrusted ExecOutput only at the sandbox "
       "boundary\n"
       "determinism-random  rand/srand/random_device outside common/rng.*\n"

@@ -5,8 +5,9 @@
 //
 //   privacy-release    Laplace/Gaussian mechanisms callable only from the
 //                      release points (src/privacy/, engine/executor.cpp).
-//   privacy-ledger     BudgetLedger charge/try_reserve callable only from
-//                      the release points and service admission.
+//   privacy-ledger     BudgetLedger try_reserve callable only from
+//                      admission (engine/admission.*), the ledger's one
+//                      writer.
 //   exec-output        The untrusted ExecOutput type nameable only at the
 //                      sandbox boundary (engine/sandbox.*) and in the
 //                      analyst-side executable implementations.
