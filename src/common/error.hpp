@@ -85,21 +85,12 @@ class FaultInjectedError : public TransientError {
       : TransientError("injected fault at '" + site + "'") {}
 };
 
-// Query terminated before completion by an explicit cancel request, a
-// deadline, or scheduler shutdown — terminal, refunded exactly once, and
-// never retried.
+// Query terminated before completion by an explicit cancel request or
+// scheduler shutdown — terminal, refunded exactly once, and never retried.
 class CancelledError : public Error {
  public:
   explicit CancelledError(const std::string& what)
       : Error("cancelled: " + what) {}
-};
-
-// A per-query deadline expired (RunOptions::deadline_rounds). A subtype of
-// CancelledError so callers can treat every early termination uniformly.
-class DeadlineError : public CancelledError {
- public:
-  explicit DeadlineError(const std::string& what)
-      : CancelledError("deadline exceeded: " + what) {}
 };
 
 }  // namespace privid

@@ -90,7 +90,8 @@ void ThreadPool::parallel_for(std::size_t n,
 
   std::unique_lock<std::mutex> lk(mu_);
   done_.wait(lk, [&] {
-    return batch->remaining.load(std::memory_order_acquire) == 0;
+    return batch->remaining.load(std::memory_order_acquire) == 0 &&
+           batch->inside.load(std::memory_order_acquire) == 0;
   });
   batch_ = nullptr;  // workers keep the shared_ptr alive while draining
   lk.unlock();
@@ -121,10 +122,19 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::work(Batch& batch) {
   t_inside_pool_task = true;
-  g_active_workers_->add(1);
+  // A participant counts as active from its first claimed index until it
+  // finds the batch drained. parallel_for returns only once `inside` is
+  // back at zero, so the gauges read zero at quiescence; a worker that
+  // arrives after the last index was claimed never counts at all.
+  bool counted = false;
   for (;;) {
     std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.n) break;
+    if (!counted) {
+      counted = true;
+      batch.inside.fetch_add(1, std::memory_order_relaxed);
+      g_active_workers_->add(1);
+    }
     g_queue_depth_->sub(1);
     try {
       // Models a worker dying as it picks up the task — before the task
@@ -143,7 +153,13 @@ void ThreadPool::work(Batch& batch) {
       done_.notify_all();
     }
   }
-  g_active_workers_->sub(1);
+  if (counted) {
+    g_active_workers_->sub(1);
+    if (batch.inside.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lk(mu_);  // pair with the caller's wait
+      done_.notify_all();
+    }
+  }
   t_inside_pool_task = false;
 }
 

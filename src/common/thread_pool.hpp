@@ -53,9 +53,11 @@ class ThreadPool {
   // sequential loop would have surfaced first.
   //
   // `max_threads` caps the compute threads participating in THIS batch
-  // (0 = no cap). A pool sized for the largest request can serve smaller
-  // requests without respawning workers: surplus workers simply sit the
-  // batch out. The cap never changes results — only resource use.
+  // (0 = no cap). A hardware-sized pool serves smaller requests without
+  // respawning workers: the first max_threads - 1 workers to wake join and
+  // the rest sit the batch out. The cap never changes results — only
+  // resource use. On return every participant has left the batch, so the
+  // active-worker gauge reads zero at quiescence.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads = 0);
 
@@ -83,6 +85,7 @@ class ThreadPool {
     std::atomic<std::size_t> joined{0};     // workers that claimed a slot
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> remaining{0};
+    std::atomic<std::size_t> inside{0};  // participants still in work()
     std::mutex error_mu;
     std::exception_ptr first_error;
     std::size_t first_error_index = 0;

@@ -487,8 +487,7 @@ std::optional<ColumnSlab> ChunkCache::disk_probe(const Fingerprint& key,
 bool ChunkCache::breaker_admits_locked() {
   if (!disk_->breaker_open) return true;
   disk_->ops_while_open += 1;
-  if (disk_->config.breaker_reprobe != 0 &&
-      disk_->ops_while_open % disk_->config.breaker_reprobe == 0) {
+  if (disk_->ops_while_open % DiskTierConfig::kBreakerReprobe == 0) {
     c_breaker_probes_->add();
     return true;  // half-open: let one operation test the disk
   }
@@ -508,7 +507,7 @@ void ChunkCache::breaker_record_locked(bool ok) {
   }
   disk_->consecutive_failures += 1;
   if (!disk_->breaker_open &&
-      disk_->consecutive_failures >= disk_->config.breaker_threshold) {
+      disk_->consecutive_failures >= DiskTierConfig::kBreakerThreshold) {
     disk_->breaker_open = true;
     disk_->ops_while_open = 0;
     c_breaker_trips_->add();

@@ -82,16 +82,16 @@ struct DiskTierConfig {
   // Default disk budget: 1 GiB of serialized slabs holds decades of
   // small-row standing-query history.
   static constexpr std::size_t kDefaultByteBudget = 1u << 30;
+  // Circuit breaker: after kBreakerThreshold *consecutive* disk I/O
+  // failures (unreadable reads, corrupt parses, failed demote writes) the
+  // tier trips to memory-only — a dying disk must degrade the cache, never
+  // the query plane. While open, every kBreakerReprobe-th disk operation
+  // is let through as a half-open probe; one success closes the breaker.
+  static constexpr std::uint64_t kBreakerThreshold = 4;
+  static constexpr std::uint64_t kBreakerReprobe = 16;
 
   std::string dir;
   std::size_t byte_budget = kDefaultByteBudget;
-  // Circuit breaker: after this many *consecutive* disk I/O failures
-  // (unreadable reads, corrupt parses, failed demote writes) the tier
-  // trips to memory-only — a dying disk must degrade the cache, never the
-  // query plane. While open, every breaker_reprobe-th disk operation is
-  // let through as a half-open probe; one success closes the breaker.
-  std::uint64_t breaker_threshold = 4;
-  std::uint64_t breaker_reprobe = 16;
   // Eagerly parse the directory's slab files into the memory tier at
   // attach (newest-indexed first, bounded by the memory byte budget), so
   // a restarted process replays history at memory speed instead of paying
@@ -257,12 +257,12 @@ class ChunkCache {
   void disk_drop_locked(const Fingerprint& key);
   void disk_evict_to_budget_locked();
   // True when the breaker admits a disk operation right now: always while
-  // closed; while open, only every breaker_reprobe-th attempt (a half-open
+  // closed; while open, only every kBreakerReprobe-th attempt (a half-open
   // probe). Suppressed attempts count as breaker skips.
   bool breaker_admits_locked();
   // Feeds one disk I/O outcome into the breaker: success resets the
   // failure streak and closes an open breaker; failure extends the streak
-  // and trips at breaker_threshold.
+  // and trips at kBreakerThreshold.
   void breaker_record_locked(bool ok);
 
   mutable std::mutex mu_;

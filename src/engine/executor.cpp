@@ -80,13 +80,17 @@ std::string fingerprint_hex(const Fingerprint& key) {
 // per-chunk rows except the chunk coordinates themselves: the canonical
 // program (executable name + registry version, timeout, max_rows, declared
 // schema) and the content source (camera identity, seed, content epoch,
-// mask, region scheme, chunk duration). Window begin/end and stride are
-// deliberately absent — they only select which chunks exist; each chunk's
-// own coordinates are folded per task, so overlapping windows share
-// entries for the chunks they have in common.
+// the mask's grid and cells, the region scheme's definition, chunk
+// duration). Window begin/end and stride are deliberately absent — they
+// only select which chunks exist; each chunk's own coordinates are folded
+// per task, so overlapping windows share entries for the chunks they have
+// in common. The mask and scheme are folded by content, not by name: the
+// content epoch is process-local, so across a restart sharing one disk
+// tier a mask re-registered under its old name must not hit the slabs the
+// old mask's PROCESS wrote.
 FingerprintBuilder process_fingerprint(const ProcessStmt& p,
                                        const SplitStmt& s,
-                                       const CameraState& cam,
+                                       const ResolvedSplit& rs,
                                        std::uint64_t exe_version) {
   FingerprintBuilder fp;
   fp.add(p.executable).add(exe_version);
@@ -100,10 +104,28 @@ FingerprintBuilder process_fingerprint(const ProcessStmt& p,
       fp.add(col.default_value.as_string());
     }
   }
+  const CameraState& cam = *rs.cam;
   fp.add(s.camera).add(cam.content.seed).add(cam.content_epoch);
   fp.add(static_cast<std::int64_t>(cam.content.porto_camera));
-  fp.add(s.mask_id ? *s.mask_id : std::string());
-  fp.add(s.region_scheme ? *s.region_scheme : std::string());
+  fp.add(rs.mask != nullptr);
+  if (rs.mask != nullptr) {
+    const Mask& m = *rs.mask;
+    fp.add(static_cast<std::int64_t>(m.frame_width()))
+        .add(static_cast<std::int64_t>(m.frame_height()))
+        .add(static_cast<std::int64_t>(m.grid_cols()))
+        .add(static_cast<std::int64_t>(m.grid_rows()));
+    fp.add_bytes(m.cells().data(), m.cells().size());
+  }
+  fp.add(rs.scheme != nullptr);
+  if (rs.scheme != nullptr) {
+    const RegionScheme& rg = *rs.scheme;
+    fp.add(rg.name()).add(static_cast<std::uint64_t>(rg.boundaries()));
+    fp.add(static_cast<std::uint64_t>(rg.region_count()));
+    for (const Region& r : rg.regions()) {
+      fp.add(r.name).add(r.extent.x).add(r.extent.y);
+      fp.add(r.extent.w).add(r.extent.h);
+    }
+  }
   fp.add(s.chunk);
   return fp;
 }
@@ -121,8 +143,8 @@ constexpr std::size_t kSandboxRetries = 2;
 
 // A SELECT's per-frame ledger charge: ε x #aggregate projections x
 // Π|WITH KEYS| (see the header comment).
-double select_charge_per_frame(const SelectStmt& s, double default_epsilon) {
-  double eps = s.consuming > 0 ? s.consuming : default_epsilon;
+double select_charge_per_frame(const SelectStmt& s) {
+  const double eps = release_epsilon(s);
   std::size_t n_aggs = 0;
   for (const auto& p : s.core.projections) {
     if (p.agg) ++n_aggs;
@@ -172,10 +194,9 @@ SensitivityEngine sensitivity_over(
 // the windows' union. PreparedQuery::admission_charges (what admission
 // reserves) and Executor::plan both price through here.
 std::vector<CameraCharge> price_select(
-    const SelectStmt& s, double default_epsilon,
-    const std::map<std::string, BoundTable>& tables,
+    const SelectStmt& s, const std::map<std::string, BoundTable>& tables,
     const std::map<std::string, CameraState>& cameras) {
-  const double epsilon = select_charge_per_frame(s, default_epsilon);
+  const double epsilon = select_charge_per_frame(s);
   std::vector<std::string> refs;
   collect_table_refs(*s.core.from, &refs);
   std::vector<CameraCharge> out;
@@ -209,6 +230,10 @@ std::vector<CameraCharge> price_select(
 }
 
 }  // namespace
+
+double release_epsilon(const SelectStmt& s) {
+  return s.consuming > 0 ? s.consuming : kDefaultEpsilon;
+}
 
 ResolvedSplit Executor::resolve_split(const SplitStmt& s) const {
   auto cam_it = cameras_->find(s.camera);
@@ -329,8 +354,8 @@ PreparedQuery Executor::prepare(const ParsedQuery& q, const RunOptions& opts) {
     // single-flight registry dedups it across concurrent runs.
     ph.keyed = pq.cache_ != nullptr || pq.inflight_ != nullptr;
     if (ph.keyed) {
-      ph.base_key =
-          process_fingerprint(p, *ph.s, cam, registry_->version(p.executable));
+      ph.base_key = process_fingerprint(p, *ph.s, ph.rs,
+                                        registry_->version(p.executable));
     }
     pq.phases_.push_back(std::move(ph));
     // Re-point the resolved mask at this phase's own snapshot (the vector
@@ -479,8 +504,7 @@ void PreparedQuery::assemble(std::size_t phase,
 std::vector<CameraCharge> PreparedQuery::admission_charges() const {
   std::vector<CameraCharge> out;
   for (const auto& s : q_->selects) {
-    for (auto& ch :
-         price_select(s, opts_.default_epsilon, tables_, *cameras_)) {
+    for (auto& ch : price_select(s, tables_, *cameras_)) {
       out.push_back(std::move(ch));
     }
   }
@@ -520,7 +544,7 @@ void PreparedQuery::run_select(const SelectStmt& s, QueryResult* out) {
   obs::Span span("query.select", "engine");
   const RunOptions& opts = opts_;
   SensitivityEngine sens = sensitivity_over(tables_);
-  double eps = s.consuming > 0 ? s.consuming : opts.default_epsilon;
+  const double eps = release_epsilon(s);
 
   // Evaluate the outer input table (FROM + WHERE + LIMIT).
   TableMap tmap;
@@ -661,7 +685,7 @@ void PreparedQuery::run_select(const SelectStmt& s, QueryResult* out) {
   }
 }
 
-QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
+QueryPlan Executor::plan(const ParsedQuery& q) const {
   query::validate(q);
   std::map<std::string, const SplitStmt*> splits;
   for (const auto& s : q.splits) splits[s.into] = &s;
@@ -682,7 +706,7 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
   QueryPlan out;
   for (const auto& sel : q.selects) {
     SelectPlan sp;
-    double eps = sel.consuming > 0 ? sel.consuming : opts.default_epsilon;
+    const double eps = release_epsilon(sel);
     for (const auto& p : sel.core.projections) {
       if (!p.agg) continue;
       ReleasePlan rp;
@@ -692,8 +716,8 @@ QueryPlan Executor::plan(const ParsedQuery& q, const RunOptions& opts) const {
       rp.noise_scale = eps > 0 ? rp.sensitivity / eps : 0.0;
       sp.releases.push_back(std::move(rp));
     }
-    sp.charge_per_frame = select_charge_per_frame(sel, opts.default_epsilon);
-    sp.charges = price_select(sel, opts.default_epsilon, tables, *cameras_);
+    sp.charge_per_frame = select_charge_per_frame(sel);
+    sp.charges = price_select(sel, tables, *cameras_);
     for (const auto& ch : sp.charges) {
       const BudgetLedger& ledger = *cameras_->at(ch.camera).ledger;
       for (const auto& w : ch.windows) {

@@ -15,6 +15,7 @@
 // first task, so the executor itself never writes a ledger. A SELECT's
 // charge per frame is
 //     ε_release x (#aggregate projections) x Π|WITH KEYS|
+// where ε_release is release_epsilon(): CONSUMING, else kDefaultEpsilon.
 // Releases grouped over *trusted* chunk bins partition the window in time,
 // so they share one charge (the Theorem E.2 cross-bin argument); releases
 // keyed by analyst columns all cover the same frames and therefore add.
@@ -68,8 +69,13 @@ struct CameraState {
   std::uint64_t content_epoch = 0;
 };
 
+// Per-release ε of a SELECT without a CONSUMING clause.
+inline constexpr double kDefaultEpsilon = 1.0;
+
+// A SELECT's per-release ε: its CONSUMING value, else kDefaultEpsilon.
+double release_epsilon(const query::SelectStmt& s);
+
 struct RunOptions {
-  double default_epsilon = 1.0;  // per release when CONSUMING is absent
   // (ε, δ)-DP variant (paper footnote 5): when delta > 0, releases use the
   // Gaussian mechanism (requires per-release ε <= 1) instead of Laplace.
   double delta = 0.0;
@@ -82,10 +88,11 @@ struct RunOptions {
   // AdmissionController::reserve (engine/admission.hpp).
   bool charge_budget = true;
   // PROCESS-phase parallelism: chunk x region sandbox invocations fan out
-  // across this many threads. 0 = all hardware threads, 1 = the sequential
-  // path. Results are bit-identical regardless of the value: each task owns
-  // a pre-sized output slot and its private per-chunk random tape, and the
-  // rows are assembled in sequential order (see common/thread_pool.hpp).
+  // across at most this many threads of the executor's pool. 0 = all
+  // hardware threads, 1 = the sequential path. Results are bit-identical
+  // regardless of the value: each task owns a pre-sized output slot and
+  // its private per-chunk random tape, and the rows are assembled in
+  // sequential order (see common/thread_pool.hpp).
   std::size_t num_threads = 1;
   // Chunk-output caching (see engine/chunk_cache.hpp): kOff recomputes
   // every chunk, kShared consults the executor's shared cache (the Privid
@@ -94,12 +101,6 @@ struct RunOptions {
   // releases, sensitivities and budget charges are byte-identical in every
   // mode.
   CacheMode cache = CacheMode::kDefault;
-  // Per-query deadline in scheduler rounds, 0 = none. Service-path only
-  // (engine-direct runs have no scheduler): a query still unfinished when
-  // the service scheduler has dispatched this many more rounds is
-  // cancelled with DeadlineError and refunded in full. Rounds, not
-  // wall-clock, so expiry is deterministic and testable.
-  std::size_t deadline_rounds = 0;
 };
 
 struct Release {
@@ -315,7 +316,7 @@ class Executor {
   QueryResult run(PreparedQuery& pq);
 
   // Validates and costs the query without executing it (see QueryPlan).
-  QueryPlan plan(const query::ParsedQuery& q, const RunOptions& opts) const;
+  QueryPlan plan(const query::ParsedQuery& q) const;
 
  private:
   ResolvedSplit resolve_split(const query::SplitStmt& s) const;

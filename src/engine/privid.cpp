@@ -117,32 +117,20 @@ QueryResult Privid::execute(const std::string& query_text, RunOptions opts) {
   return execute(query::parse_query(query_text), opts);
 }
 
-ThreadPool* Privid::pool_for(std::size_t num_threads) {
-  std::lock_guard<std::mutex> lock(service_mu_);
-  return pool_for_locked(num_threads);
-}
-
-ThreadPool* Privid::pool_for_locked(std::size_t num_threads) {
-  std::size_t n = ThreadPool::resolve_threads(num_threads);
-  if (n <= 1) return nullptr;  // sequential path, pool untouched
-  // Grow-only: the pool is sized for the largest request seen (caller
-  // participates, so n threads of compute means n - 1 workers); smaller
-  // requests are honored per batch via parallel_for's max_threads cap
-  // rather than by respawning workers. Once the query service borrows the
-  // pool it can never be replaced — a larger execute() request is then
-  // capped at the current size instead of dangling the service's pointer.
-  // service_mu_ (held by every caller) makes the service_/pool_ decision
-  // atomic against a concurrent first submit() creating the service.
-  if (!pool_ || pool_->parallelism() < n) {
-    if (pool_ && service_) return pool_.get();
-    pool_ = std::make_unique<ThreadPool>(n - 1);
+ThreadPool* Privid::shared_pool(std::size_t num_threads) {
+  if (ThreadPool::resolve_threads(num_threads) <= 1) return nullptr;
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (!pool_) {
+    // The caller participates in every batch, so hardware size means one
+    // worker fewer than the hardware threads.
+    pool_ = std::make_unique<ThreadPool>(ThreadPool::resolve_threads(0) - 1);
   }
   return pool_.get();
 }
 
 QueryResult Privid::execute(const query::ParsedQuery& q, RunOptions opts) {
-  Executor exec(&cameras_, &registry_, &noise_rng_, pool_for(opts.num_threads),
-                cache_.get());
+  Executor exec(&cameras_, &registry_, &noise_rng_,
+                shared_pool(opts.num_threads), cache_.get());
   PreparedQuery pq = exec.prepare(q, opts);
   // ~Reservation refunds if PROCESS or the release throws.
   Reservation reservation = admission_.reserve(pq);
@@ -151,17 +139,17 @@ QueryResult Privid::execute(const query::ParsedQuery& q, RunOptions opts) {
   return result;
 }
 
-QueryPlan Privid::plan(const std::string& query_text, RunOptions opts) const {
-  return plan(query::parse_query(query_text), opts);
+QueryPlan Privid::plan(const std::string& query_text) const {
+  return plan(query::parse_query(query_text));
 }
 
-QueryPlan Privid::plan(const query::ParsedQuery& q, RunOptions opts) const {
+QueryPlan Privid::plan(const query::ParsedQuery& q) const {
   // The executor mutates nothing on the plan path; the const_casts bind the
   // non-owning pointers its constructor expects.
   Rng scratch(0);
   Executor exec(const_cast<std::map<std::string, CameraState>*>(&cameras_),
                 &registry_, &scratch);
-  return exec.plan(q, opts);
+  return exec.plan(q);
 }
 
 void Privid::save_budget(const std::string& camera, std::ostream& os) const {
@@ -192,7 +180,7 @@ service::QueryService& Privid::service() {
     // of workers (ROADMAP: one engine pool, not one per subsystem).
     service_ = std::make_unique<service::QueryService>(
         &cameras_, &registry_, cache_.get(), &admission_, config,
-        pool_for_locked(config.num_threads));
+        shared_pool(config.num_threads));
   }
   return *service_;
 }
@@ -207,7 +195,7 @@ service::QueryService& Privid::configure_service(
   if (config.noise_seed == 0) config.noise_seed = noise_seed_;
   service_ = std::make_unique<service::QueryService>(
       &cameras_, &registry_, cache_.get(), &admission_, config,
-      pool_for_locked(config.num_threads));
+      shared_pool(config.num_threads));
   return *service_;
 }
 

@@ -20,6 +20,8 @@
 // writes the ledgers: execute(), standing queries and the query service
 // all pay for a query through a single atomic reservation before its first
 // PROCESS task, so every path prices and denies identically.
+// It also owns the one worker pool every multi-threaded query runs on,
+// sized to the hardware once and never replaced.
 #pragma once
 
 #include <iosfwd>
@@ -96,8 +98,8 @@ class Privid {
   // a single chunk or consuming budget. Each SELECT is checked on its own;
   // admission reserves them cumulatively, so a multi-SELECT query that
   // only fits one SELECT at a time is denied at admission, whole.
-  QueryPlan plan(const std::string& query_text, RunOptions opts = {}) const;
-  QueryPlan plan(const query::ParsedQuery& q, RunOptions opts = {}) const;
+  QueryPlan plan(const std::string& query_text) const;
+  QueryPlan plan(const query::ParsedQuery& q) const;
 
   // ---- Multi-analyst query service (async path) ----
   //
@@ -112,7 +114,9 @@ class Privid {
   //
   // service() lazily creates the service with a default config (all
   // hardware threads, shared cache, this facade's noise seed); call
-  // configure_service first to choose differently. Note the service's
+  // configure_service first to choose differently. Either way the
+  // service borrows the facade's one worker pool, the same one
+  // execute() uses. Note the service's
   // per-query noise streams are deliberately not execute()'s process-wide
   // stream — see service/session.hpp.
   service::QueryService& service();
@@ -158,13 +162,13 @@ class Privid {
   CacheStats cache_stats() const { return cache_->stats(); }
 
  private:
-  // Lazily-created shared worker pool serving every query (ad-hoc and
-  // standing) whose RunOptions::num_threads resolves to > 1. Re-created
-  // only when a query asks for a larger thread count — and never once the
-  // query service has borrowed it. pool_for locks service_mu_; the
-  // _locked variant is for callers already holding it.
-  ThreadPool* pool_for(std::size_t num_threads);
-  ThreadPool* pool_for_locked(std::size_t num_threads);
+  // The one worker pool, serving every query (ad-hoc, standing and
+  // service) whose thread count resolves to > 1; null for sequential
+  // requests. Created at hardware size on the first such request and never
+  // replaced: each query caps its own batches at its num_threads through
+  // parallel_for's max_threads, and the query service borrows the same
+  // pool.
+  ThreadPool* shared_pool(std::size_t num_threads);
 
   // The service pointer under its creation lock (null until first use).
   // Two analysts making their first submit() concurrently must not race
@@ -193,10 +197,10 @@ class Privid {
   ExecutableRegistry registry_;
   Rng noise_rng_;
   std::uint64_t noise_seed_;
+  std::mutex pool_mu_;  // guards pool_ creation
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ChunkCache> cache_;
-  mutable std::mutex service_mu_;  // guards service_ creation and pool_
-                                   // create/replace decisions
+  mutable std::mutex service_mu_;  // guards service_ creation
   std::unique_ptr<service::QueryService> service_;
 };
 

@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "common/error.hpp"
-#include "query/parser.hpp"
 
 namespace privid::engine {
 
@@ -40,73 +39,6 @@ StandingQuery::StandingQuery(Privid* system, Spec spec)
     throw ArgumentError(
         "query template must contain {BEGIN} and {END} placeholders");
   }
-  hoist_template();
-}
-
-namespace {
-
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t n = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
-void StandingQuery::hoist_template() {
-  // Parse the template twice with two distinct sentinel windows and diff
-  // the SPLIT begin/end fields: a field that tracks the sentinels is fed
-  // by a placeholder and gets rebound per period; a literal is bit-equal
-  // in both parses and is left alone. Integer-valued sentinels survive the
-  // %.17g substitution and the parse round-trip exactly, so the
-  // comparisons below are exact.
-  constexpr Seconds kB1 = 1062899.0, kE1 = 2062899.0;
-  constexpr Seconds kB2 = 3062899.0, kE2 = 4062899.0;
-  query::ParsedQuery qa, qb;
-  try {
-    qa = query::parse_query(substitute_window(spec_.query_template, kB1, kE1));
-    qb = query::parse_query(substitute_window(spec_.query_template, kB2, kE2));
-  } catch (const std::exception&) {
-    // Malformed templates keep the historical contract: the parse error
-    // surfaces from advance(), not from the constructor.
-    return;
-  }
-  if (qa.splits.size() != qb.splits.size()) return;
-
-  std::vector<WindowBinding> bindings;
-  for (std::size_t i = 0; i < qa.splits.size(); ++i) {
-    const auto bind = [&](Seconds a, Seconds b, bool field_is_begin) -> bool {
-      if (a == b) return true;  // literal: untouched by the sentinels
-      if (a == kB1 && b == kB2) {
-        bindings.push_back({i, field_is_begin, /*takes_begin=*/true});
-        return true;
-      }
-      if (a == kE1 && b == kE2) {
-        bindings.push_back({i, field_is_begin, /*takes_begin=*/false});
-        return true;
-      }
-      return false;  // moved in a way we cannot model
-    };
-    if (!bind(qa.splits[i].begin, qb.splits[i].begin, true)) return;
-    if (!bind(qa.splits[i].end, qb.splits[i].end, false)) return;
-  }
-
-  // Every textual placeholder occurrence must map to exactly one bound
-  // SPLIT field; otherwise a placeholder sits somewhere we cannot rebind
-  // (a WHERE literal, a chunk duration, ...) and the per-period re-parse
-  // path stays in charge of correctness.
-  const std::size_t occurrences =
-      count_occurrences(spec_.query_template, "{BEGIN}") +
-      count_occurrences(spec_.query_template, "{END}");
-  if (bindings.size() != occurrences) return;
-
-  plan_ = std::move(qa);
-  bindings_ = std::move(bindings);
-  hoisted_ = true;
 }
 
 std::vector<Release> StandingQuery::advance(Seconds now) {
@@ -116,18 +48,8 @@ std::vector<Release> StandingQuery::advance(Seconds now) {
     Seconds end = cursor_ + spec_.period;
     // Budget denial propagates before the cursor moves, so the failed
     // period is retried on the next call rather than silently skipped.
-    QueryResult result;
-    if (hoisted_) {
-      for (const auto& b : bindings_) {
-        auto& split = plan_.splits[b.split_index];
-        (b.field_is_begin ? split.begin : split.end) =
-            b.takes_begin ? begin : end;
-      }
-      result = system_->execute(plan_, spec_.opts);
-    } else {
-      result = system_->execute(
-          substitute_window(spec_.query_template, begin, end), spec_.opts);
-    }
+    QueryResult result = system_->execute(
+        substitute_window(spec_.query_template, begin, end), spec_.opts);
     cursor_ = end;
     ++executed_;
     for (auto& r : result.releases) out.push_back(std::move(r));

@@ -5,10 +5,13 @@
 // A StandingQuery binds a query *template* — the analyst's SPLIT/PROCESS/
 // SELECT text with {BEGIN} and {END} placeholders — to a release period.
 // advance(now) executes the template once for every period that has fully
-// elapsed since the last call, in order, and returns the releases. Budget
-// is consumed per executed period exactly as for ad-hoc queries; a denial
-// stops the cursor at the failing period so the caller can retry after
-// topping up nothing was skipped.
+// elapsed since the last call, in order, and returns the releases. Each
+// period substitutes its window into the text (substitute_window) and
+// parses the result; the chunk cache still sees one PROCESS program across
+// periods, because its keys leave the window out. Budget is consumed per
+// executed period exactly as for ad-hoc queries; a denial stops the cursor
+// at the failing period so the caller can retry after topping up nothing
+// was skipped.
 //
 // Appendix D's streaming semantics ("values that depend upon future
 // timestamps will be released as soon as possible after all of the
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "engine/privid.hpp"
-#include "query/ast.hpp"
 
 namespace privid::engine {
 
@@ -28,7 +30,7 @@ class StandingQuery {
  public:
   struct Spec {
     // Query text with {BEGIN} / {END} placeholders (seconds, substituted
-    // with 17 significant digits).
+    // in shortest round-trip form, so the parsed window is exact).
     std::string query_template;
     Seconds start = 0;      // first period begins here
     Seconds period = 3600;  // one release batch per period
@@ -51,35 +53,11 @@ class StandingQuery {
   Seconds next_due() const { return cursor_ + spec_.period; }
   std::size_t periods_executed() const { return executed_; }
 
-  // True when the template was parsed once at construction and each period
-  // merely rebinds the SPLIT windows (the fast path). False when a
-  // placeholder appears somewhere other than a SPLIT BEGIN/END — then each
-  // period substitutes and re-parses the text, as the original
-  // implementation always did. Exposed for tests.
-  bool plan_hoisted() const { return hoisted_; }
-
  private:
-  // One SPLIT field fed by a placeholder: splits[split_index].{begin|end}
-  // receives the period's {BEGIN} or {END} value.
-  struct WindowBinding {
-    std::size_t split_index = 0;
-    bool field_is_begin = true;  // which SplitStmt field to rebind
-    bool takes_begin = true;     // which placeholder feeds it
-  };
-  void hoist_template();
-
   Privid* system_;
   Spec spec_;
   Seconds cursor_;
   std::size_t executed_ = 0;
-
-  // The hoisted plan: the template parsed once, with the placeholder-fed
-  // SPLIT fields recorded so advance() rebinds them per period instead of
-  // re-substituting and re-parsing the text. Parsing once is what lets the
-  // chunk cache see one canonical PROCESS program across all periods.
-  bool hoisted_ = false;
-  query::ParsedQuery plan_;
-  std::vector<WindowBinding> bindings_;
 };
 
 // Replaces every "{BEGIN}" / "{END}" in `text` (exposed for tests).

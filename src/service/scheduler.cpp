@@ -10,14 +10,12 @@
 namespace privid::service {
 
 QueryScheduler::QueryScheduler(ThreadPool* pool, std::size_t threads,
-                               std::size_t round_tasks,
                                std::shared_mutex* owner_mu,
                                SettleCallback on_settled,
                                std::size_t shutdown_grace_ms)
     : pool_(pool), threads_(std::max<std::size_t>(threads, 1)),
-      round_tasks_(round_tasks != 0 ? round_tasks
-                                    : 4 * std::max<std::size_t>(threads, 1)),
-      owner_mu_(owner_mu), on_settled_(std::move(on_settled)),
+      round_size_(kRoundTasksPerThread * threads_), owner_mu_(owner_mu),
+      on_settled_(std::move(on_settled)),
       shutdown_grace_ms_(shutdown_grace_ms) {
   if (!owner_mu_) throw ArgumentError("QueryScheduler requires owner mutex");
   // privcheck:allow(raw-thread): spawn of the scheduler's single dispatcher
@@ -61,12 +59,6 @@ void QueryScheduler::submit(const std::shared_ptr<QueryJob>& job) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) throw ArgumentError("QueryScheduler is shut down");
     ++unsettled_jobs_;
-    if (job->deadline_rounds > 0) {
-      // Fix the absolute bound now, under mu_: "this many more dispatched
-      // rounds from the moment of submission".
-      job->deadline_round = round_seq_ + job->deadline_rounds;
-      deadline_jobs_.push_back(job);
-    }
     if (job->total_tasks == 0) {
       taskless_jobs_.push_back(job);
     } else {
@@ -106,32 +98,6 @@ bool QueryScheduler::cancel(const std::shared_ptr<QueryJob>& job,
   return won;
 }
 
-void QueryScheduler::expire_deadlines_locked() {
-  if (deadline_jobs_.empty()) return;
-  deadline_jobs_.erase(
-      std::remove_if(
-          deadline_jobs_.begin(), deadline_jobs_.end(),
-          [&](const std::weak_ptr<QueryJob>& wp) {
-            std::shared_ptr<QueryJob> job = wp.lock();
-            if (!job) return true;
-            {
-              std::lock_guard<std::mutex> jl(job->mu);
-              if (job->state == QueryState::kDone ||
-                  job->state == QueryState::kFailed ||
-                  job->state == QueryState::kCancelled) {
-                return true;  // settled under the wire
-              }
-            }
-            if (round_seq_ < job->deadline_round) return false;
-            int expected = static_cast<int>(CancelReason::kNone);
-            job->cancel_reason.compare_exchange_strong(
-                expected, static_cast<int>(CancelReason::kDeadline),
-                std::memory_order_acq_rel);
-            return true;  // expired (or lost to another canceller): done
-          }),
-      deadline_jobs_.end());
-}
-
 QueryScheduler::Stats QueryScheduler::stats() const {
   Stats s;
   s.tasks_run = c_tasks_run_->value();
@@ -161,7 +127,6 @@ void QueryScheduler::loop() {
       // reservation must end in commit or refund, never limbo. (Abandoned
       // jobs below *also* settle, as cancellations.)
       if (stop_ && queue_.empty() && taskless_jobs_.empty()) break;
-      expire_deadlines_locked();
       finished.reserve(taskless_jobs_.size());
       for (auto& job : taskless_jobs_) finished.push_back(std::move(job));
       taskless_jobs_.clear();
@@ -182,7 +147,7 @@ void QueryScheduler::loop() {
           }
         }
       }
-      while (round.size() < round_tasks_ && queue_.pop(&t)) {
+      while (round.size() < round_size_ && queue_.pop(&t)) {
         if (t.job->failed.load(std::memory_order_acquire) ||
             t.job->cancel_reason.load(std::memory_order_acquire) !=
                 static_cast<int>(CancelReason::kNone)) {
@@ -207,7 +172,6 @@ void QueryScheduler::loop() {
     c_settled_->add(finished.size());
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!round.empty()) ++round_seq_;  // the deadline clock ticks
       unsettled_jobs_ -= finished.size();
       if (unsettled_jobs_ == 0) idle_cv_.notify_all();
     }
@@ -316,10 +280,6 @@ void QueryScheduler::finalize(QueryJob& job) {
       cancelled = true;
       const std::string who =
           "query " + std::to_string(job.id) + " (" + job.analyst + ")";
-      if (reason == static_cast<int>(CancelReason::kDeadline)) {
-        throw DeadlineError(who + " after " +
-                            std::to_string(job.deadline_rounds) + " rounds");
-      }
       if (reason == static_cast<int>(CancelReason::kShutdown)) {
         throw CancelledError(who + " abandoned at scheduler shutdown");
       }

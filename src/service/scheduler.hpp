@@ -11,13 +11,13 @@
 // the others.
 //
 // Execution model: a single dispatcher thread composes rounds of up to
-// `round_tasks` tasks (picked one at a time by stride order) and fans each
-// round out over the shared ThreadPool with parallel_for. Tasks only write
-// their own pre-sized slot, so this scheduling layer cannot perturb
-// results: a query's tables are assembled from its slots in sequential
-// task order whenever its last task retires, making releases byte-
-// identical no matter what else the service is running (see
-// engine/executor.hpp on PreparedQuery).
+// kRoundTasksPerThread x threads tasks (picked one at a time by stride
+// order) and fans each round out over the shared ThreadPool with
+// parallel_for. Tasks only write their own pre-sized slot, so this
+// scheduling layer cannot perturb results: a query's tables are assembled
+// from its slots in sequential task order whenever its last task retires,
+// making releases byte-identical no matter what else the service is
+// running (see engine/executor.hpp on PreparedQuery).
 //
 // Failure: the first task error flips the job's failed flag; its remaining
 // queued tasks are dropped at dispatch, and finalize() refunds the
@@ -57,7 +57,6 @@ enum class QueryState { kQueued, kRunning, kDone, kFailed, kCancelled };
 enum class CancelReason : int {
   kNone = 0,
   kUser,      // QueryService::cancel
-  kDeadline,  // RunOptions::deadline_rounds expired
   kShutdown,  // scheduler abandoned it during bounded shutdown
 };
 
@@ -89,12 +88,6 @@ struct QueryJob {
   // tasks of a cancelled job are dropped at dispatch and in-round, and
   // finalize() refunds and settles it kCancelled.
   std::atomic<int> cancel_reason{static_cast<int>(CancelReason::kNone)};
-  // Deadline in dispatcher rounds (0 = none): the job is cancelled when
-  // the scheduler has dispatched deadline_rounds more rounds and it has
-  // not settled. deadline_round is the absolute round_seq_ bound, fixed
-  // at submit under the scheduler mutex.
-  std::size_t deadline_rounds = 0;
-  std::uint64_t deadline_round = 0;
   std::mutex error_mu;
   std::exception_ptr task_error;  // first task failure observed
 
@@ -187,16 +180,20 @@ class QueryScheduler {
   // after its reservation committed or refunded.
   using SettleCallback = std::function<void(QueryJob&, bool ok)>;
 
+  // Tasks per round per compute thread: large enough to amortize the
+  // round's pool barrier, small enough that fair share is enforced at a
+  // fine grain.
+  static constexpr std::size_t kRoundTasksPerThread = 4;
+
   // `pool` (non-owning, may be null for sequential execution) runs each
-  // round; `threads` caps the compute threads per round. `round_tasks`
-  // bounds a round (0 = 4x threads). `owner_mu` (non-owning) is held
-  // shared while tasks run so owner-side mutations (mask registration,
+  // round; `threads` caps the compute threads per round and sizes it
+  // (kRoundTasksPerThread x threads tasks). `owner_mu` (non-owning) is
+  // held shared while tasks run so owner-side mutations (mask registration,
   // re-tuning) serialize against in-flight queries. `shutdown_grace_ms`
   // bounds how long shutdown() waits for in-flight queries to drain
   // before abandoning queued work.
   QueryScheduler(ThreadPool* pool, std::size_t threads,
-                 std::size_t round_tasks, std::shared_mutex* owner_mu,
-                 SettleCallback on_settled,
+                 std::shared_mutex* owner_mu, SettleCallback on_settled,
                  std::size_t shutdown_grace_ms = 30000);
   ~QueryScheduler();  // bounded shutdown(), then joins the dispatcher
 
@@ -249,13 +246,10 @@ class QueryScheduler {
   std::size_t run_round(std::vector<TaskRef>& round,
                         std::vector<std::shared_ptr<QueryJob>>* finished);
   void finalize(QueryJob& job);
-  // Flips cancel_reason to kDeadline on every tracked job whose round
-  // bound has passed; prunes settled/dead entries. Caller holds mu_.
-  void expire_deadlines_locked();
 
   ThreadPool* pool_;
   const std::size_t threads_;
-  const std::size_t round_tasks_;
+  const std::size_t round_size_;
   std::shared_mutex* owner_mu_;
   SettleCallback on_settled_;
   const std::size_t shutdown_grace_ms_;
@@ -265,12 +259,7 @@ class QueryScheduler {
   std::condition_variable idle_cv_;  // drain() waits
   FairShareQueue<TaskRef> queue_;
   std::vector<std::shared_ptr<QueryJob>> taskless_jobs_;
-  // Jobs with a round deadline, scanned each dispatcher iteration.
-  std::vector<std::weak_ptr<QueryJob>> deadline_jobs_;
   std::size_t unsettled_jobs_ = 0;
-  // Rounds dispatched so far — the deadline clock (deterministic, unlike
-  // wall time).
-  std::uint64_t round_seq_ = 0;
   bool stop_ = false;
   // Set by shutdown() after the grace expires: the dispatcher drops the
   // entire remaining queue as kShutdown cancellations instead of running

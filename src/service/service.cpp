@@ -38,7 +38,7 @@ QueryService::QueryService(std::map<std::string, engine::CameraState>* cameras,
     pool_ = shared_pool;
   }
   scheduler_ = std::make_unique<QueryScheduler>(
-      pool_, threads, config_.round_tasks, &owner_mu_,
+      pool_, threads, &owner_mu_,
       [this](QueryJob& job, bool ok) {
         AnalystSession& session = sessions_.get_or_create(job.analyst);
         if (ok) {
@@ -104,13 +104,12 @@ QueryTicket QueryService::submit(const std::string& analyst,
       cameras_, registry_, &job->rng, /*pool=*/nullptr, shared_cache_,
       &inflight_);
 
-  engine::RunOptions exec_opts = opts;
-  exec_opts.cache = cache_mode_;  // service policy overrides the caller's
+  opts.cache = cache_mode_;  // service policy overrides the caller's
 
   // Decompose first (validates and resolves everything), then admit — a
   // malformed query must not briefly hold budget.
   job->prepared = std::make_unique<engine::PreparedQuery>(
-      job->exec->prepare(job->parsed, exec_opts));
+      job->exec->prepare(job->parsed, opts));
 
   try {
     job->reservation = admission_->reserve(*job->prepared);
@@ -121,7 +120,6 @@ QueryTicket QueryService::submit(const std::string& analyst,
     throw;
   }
 
-  job->deadline_rounds = opts.deadline_rounds;
   job->total_tasks = job->prepared->total_tasks();
   job->slots.resize(job->prepared->phase_count());
   for (std::size_t phase = 0; phase < job->prepared->phase_count(); ++phase) {

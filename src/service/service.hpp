@@ -68,9 +68,6 @@ class QueryService {
     // Compute threads serving PROCESS tasks (0 = all hardware threads,
     // 1 = run tasks on the dispatcher thread).
     std::size_t num_threads = 0;
-    // Max tasks per scheduler round (0 = 4x threads). Smaller rounds give
-    // finer-grained fairness; larger ones amortize dispatch overhead.
-    std::size_t round_tasks = 0;
     // Chunk-output cache policy for every query this service runs
     // (kDefault resolves PRIVID_CACHE). Service policy, not per-query:
     // RunOptions::cache passed to submit() is ignored.
@@ -118,7 +115,7 @@ class QueryService {
   QueryState poll(const QueryTicket& ticket) const;
   // Blocks until the query settles; returns its result or rethrows the
   // error that failed/cancelled it (after its reservation was refunded —
-  // CancelledError/DeadlineError for a cancellation).
+  // CancelledError for a cancellation).
   engine::QueryResult wait(const QueryTicket& ticket) const;
   // Requests cancellation. True when the request won before the query
   // settled: its remaining tasks are dropped, it settles kCancelled and
@@ -140,8 +137,8 @@ class QueryService {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;     // settled with an error (not cancelled)
-    std::uint64_t cancelled = 0;  // settled kCancelled (user/deadline/
-                                  // shutdown), refunded
+    std::uint64_t cancelled = 0;  // settled kCancelled (user/shutdown),
+                                  // refunded
     std::uint64_t rejected = 0;
     QueryScheduler::Stats scheduler;
     engine::SingleFlightStats dedup;

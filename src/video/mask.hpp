@@ -35,6 +35,8 @@ class Mask {
   int frame_height() const { return height_; }
 
   bool cell_masked(int cx, int cy) const;
+  // Every cell's state, row-major (1 = masked).
+  const std::vector<char>& cells() const { return masked_; }
   void set_cell(int cx, int cy, bool masked);
   // Masks every cell intersecting `b`.
   void mask_box(const Box& b);

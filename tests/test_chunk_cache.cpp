@@ -481,41 +481,37 @@ TEST(StandingCache, OffVsSharedStandingBitIdentical) {
   }
 }
 
-TEST(StandingCache, TemplateParseIsHoisted) {
-  Privid sys = make_system(5, 10, 1, 50);
-  StandingQuery::Spec spec;
-  spec.query_template = kStandingTemplate;
-  spec.period = 30;
-  StandingQuery hoisted(&sys, spec);
-  EXPECT_TRUE(hoisted.plan_hoisted());
-  EXPECT_EQ(hoisted.advance(60).size(), 2u);
-}
-
-TEST(StandingCache, PlaceholderOutsideSplitFallsBackAndStaysCorrect) {
-  // {END} also appears in a WHERE literal: the hoisted plan cannot model
-  // that, so the per-period substitute-and-parse path must take over and
-  // produce the same releases as an equivalent hand-substituted query.
-  Privid sys = make_system(5, 10, 1, 50, /*noise_seed=*/21);
-  StandingQuery::Spec spec;
-  spec.query_template =
+TEST(StandingCache, TemplateReleasesMatchHandSubstitutedExecute) {
+  // Every period substitutes its window into the template text and
+  // parses it, wherever the placeholders sit: only in the SPLIT, or also
+  // in a WHERE literal. Either way the releases must be byte-identical to
+  // executing the hand-substituted text directly.
+  const std::string where_template =
       "SPLIT cam BEGIN {BEGIN} END {END} BY TIME 5 STRIDE 0 INTO c;"
       "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
       "WITH SCHEMA (seen:NUMBER=0) INTO t;"
       "SELECT COUNT(*) FROM t WHERE seen < {END};";
-  spec.period = 30;
-  spec.opts.reveal_raw = true;
-  StandingQuery fallback(&sys, spec);
-  EXPECT_FALSE(fallback.plan_hoisted());
-  auto releases = fallback.advance(60);
-  ASSERT_EQ(releases.size(), 2u);
+  for (const std::string& text : {std::string(kStandingTemplate),
+                                  where_template}) {
+    SCOPED_TRACE(text);
+    Privid sys = make_system(5, 10, 1, 50, /*noise_seed=*/21);
+    StandingQuery::Spec spec;
+    spec.query_template = text;
+    spec.period = 30;
+    spec.opts.reveal_raw = true;
+    StandingQuery standing(&sys, spec);
+    auto releases = standing.advance(60);
 
-  Privid ref = make_system(5, 10, 1, 50, /*noise_seed=*/21);
-  RunOptions opts;
-  opts.reveal_raw = true;
-  auto r1 = ref.execute(substitute_window(spec.query_template, 0, 30), opts);
-  auto r2 = ref.execute(substitute_window(spec.query_template, 30, 60), opts);
-  EXPECT_EQ(releases[0].value, r1.releases[0].value);
-  EXPECT_EQ(releases[1].value, r2.releases[0].value);
+    Privid ref = make_system(5, 10, 1, 50, /*noise_seed=*/21);
+    std::vector<Release> expected;
+    for (Seconds begin : {0.0, 30.0}) {
+      auto r = ref.execute(substitute_window(text, begin, begin + 30),
+                           spec.opts);
+      for (auto& rel : r.releases) expected.push_back(std::move(rel));
+    }
+    ASSERT_EQ(expected.size(), 2u);
+    expect_releases_identical(releases, expected);
+  }
 }
 
 TEST(StandingCache, MalformedTemplateStillThrowsAtAdvance) {
@@ -524,7 +520,6 @@ TEST(StandingCache, MalformedTemplateStillThrowsAtAdvance) {
   spec.query_template = "{BEGIN} {END} not a query";
   spec.period = 10;
   StandingQuery q(&sys, spec);  // constructor must not throw
-  EXPECT_FALSE(q.plan_hoisted());
   EXPECT_THROW(q.advance(10), Error);
 }
 
@@ -869,6 +864,49 @@ TEST(CacheEquivalence, RestartWarmServesFromDiskBitIdentical) {
   EXPECT_EQ(res.cache.misses, 0u);
   EXPECT_EQ(revived.cache_stats().disk_hits, 20u);
   expect_releases_identical(first, res.releases);
+}
+
+TEST(CacheInvalidation, MaskReplacedAcrossRestartMissesOldSlabs) {
+  // A restarted deployment sharing the disk tier re-registers mask `m`
+  // under its old name with different cells. The content epoch is
+  // process-local (both facades are at epoch 1 after their one
+  // register_mask), so only the mask's contents in the key keep the old
+  // slabs from being served — serving them would release the unmasked
+  // count under the new mask's ρ = 0 sensitivity.
+  constexpr const char* kMasked =
+      "SPLIT cam BEGIN 0 END 100 BY TIME 5 STRIDE 0 WITH MASK m INTO c;"
+      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO t;"
+      "SELECT COUNT(*) FROM t;";
+  const auto dir = fresh_cache_dir("mask_restart");
+  RunOptions opts;
+  opts.reveal_raw = true;
+  opts.cache = CacheMode::kShared;
+  {
+    Privid first = make_system();
+    first.chunk_cache().attach_disk_tier(disk_config(dir));
+    first.register_mask("cam", "m", MaskEntry{Mask(1280, 720, 64, 36),
+                                              {10, 1}});
+    EXPECT_GT(first.execute(kMasked, opts).releases[0].raw, 0.0);
+  }  // flushes the unmasked rows to dir
+  ASSERT_EQ(slab_file_count(dir), 20u);
+
+  Mask hide_all(1280, 720, 64, 36);
+  hide_all.mask_box(Box{0, 0, 1280, 720});
+  Privid reference = make_system();
+  reference.register_mask("cam", "m", MaskEntry{hide_all, {0, 1}});
+  RunOptions uncached = opts;
+  uncached.cache = CacheMode::kOff;
+  auto expected = reference.execute(kMasked, uncached);
+  EXPECT_EQ(expected.releases[0].raw, 0.0);
+
+  Privid restarted = make_system();
+  restarted.chunk_cache().attach_disk_tier(disk_config(dir));
+  restarted.register_mask("cam", "m", MaskEntry{hide_all, {0, 1}});
+  auto res = restarted.execute(kMasked, opts);
+  EXPECT_EQ(res.cache.hits, 0u);
+  EXPECT_EQ(res.cache.misses, 20u);
+  expect_releases_identical(expected.releases, res.releases);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // an every-seam crash sweep (each injection site either fails the query
 // cleanly with an exactly-once refund or recovers to byte-identical
 // output), the disk-tier circuit breaker and crash durability, bounded
-// scheduler shutdown / deadlines / user cancellation, and the chaos
-// equivalence suite CI replays under the canned fault plans.
+// scheduler shutdown / user cancellation, and the chaos equivalence suite
+// CI replays under the canned fault plans.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -632,29 +632,31 @@ TEST(FaultSites, SchedDispatchFaultFailsOnlyTheStruckQuery) {
 // ------------------------------------------------------- circuit breaker
 
 TEST(FaultBreaker, TripsAfterConsecutiveFailuresReprobesAndCloses) {
+  constexpr std::uint64_t kTrip = DiskTierConfig::kBreakerThreshold;
+  constexpr std::uint64_t kReprobe = DiskTierConfig::kBreakerReprobe;
+  // Enough slabs to trip the breaker and reach its first re-probe while
+  // the storm lasts, with some left over for the recovery pass.
+  constexpr std::uint64_t kSlabs = kTrip + kReprobe + 4;
   const auto dir = fresh_cache_dir("breaker");
   {
     ChunkCache cache(1 << 20);
     cache.attach_disk_tier(disk_config(dir));
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    for (std::uint64_t i = 0; i < kSlabs; ++i) {
       cache.insert(key_of(i), slab_with_payload(256));
     }
-  }  // destructor flushes all eight slabs to disk
+  }  // destructor flushes every slab to disk
 
-  DiskTierConfig cfg = disk_config(dir);
-  cfg.breaker_threshold = 2;
-  cfg.breaker_reprobe = 3;
   ChunkCache cache(1 << 20);
-  cache.attach_disk_tier(cfg);
-  ASSERT_EQ(cache.stats().disk_entries, 8u);
+  cache.attach_disk_tier(disk_config(dir));
+  ASSERT_EQ(cache.stats().disk_entries, kSlabs);
 
   ColumnSlab out;
   {
     PlanGuard guard("disk.read:every1");
-    // Two consecutive probe failures trip the breaker; the next probes are
-    // skipped outright except every third, which re-probes (and fails
-    // again while the storm lasts, keeping the breaker open).
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    // kTrip consecutive probe failures trip the breaker; the next probes
+    // are skipped outright except every kReprobe-th, which re-probes (and
+    // fails again while the storm lasts, keeping the breaker open).
+    for (std::uint64_t i = 0; i < kSlabs; ++i) {
       EXPECT_FALSE(cache.lookup(key_of(i), &out));
     }
     CacheStats s = cache.stats();
@@ -669,7 +671,7 @@ TEST(FaultBreaker, TripsAfterConsecutiveFailuresReprobesAndCloses) {
   // the breaker, and the surviving index serves disk hits again.
   std::uint64_t hits = 0;
   for (int round = 0; round < 3 && hits == 0; ++round) {
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    for (std::uint64_t i = 0; i < kSlabs; ++i) {
       if (cache.lookup(key_of(i), &out)) ++hits;
     }
   }
@@ -681,23 +683,25 @@ TEST(FaultBreaker, TripsAfterConsecutiveFailuresReprobesAndCloses) {
 
 TEST(FaultBreaker, OpenBreakerAlsoShedsWrites) {
   const auto dir = fresh_cache_dir("breaker_writes");
-  DiskTierConfig cfg = disk_config(dir);
-  cfg.breaker_threshold = 1;
-  cfg.breaker_reprobe = 1000;  // effectively never re-probe in this test
   const std::size_t entry = ChunkCache::slab_bytes(slab_with_payload(1024));
   ChunkCache cache(2 * entry);
-  cache.attach_disk_tier(cfg);
+  cache.attach_disk_tier(disk_config(dir));
   {
     PlanGuard guard("disk.write:every1");
-    // First demotion fails and trips the breaker; subsequent demotions are
-    // shed without touching the filesystem at all.
-    for (std::uint64_t i = 0; i < 6; ++i) {
+    // Every insert past the first two demotes one entry. The first
+    // kBreakerThreshold demotions fail and trip the breaker; the rest are
+    // shed without touching the filesystem at all (too few to reach the
+    // first re-probe).
+    const std::uint64_t inserts = 2 + DiskTierConfig::kBreakerThreshold +
+                                  DiskTierConfig::kBreakerReprobe / 2;
+    for (std::uint64_t i = 0; i < inserts; ++i) {
       cache.insert(key_of(i), slab_with_payload(1024));
     }
     CacheStats s = cache.stats();
     EXPECT_TRUE(s.breaker_open);
     EXPECT_EQ(s.breaker_trips, 1u);
     EXPECT_GT(s.breaker_skips, 0u);
+    EXPECT_EQ(s.breaker_probes, 0u);
     EXPECT_EQ(s.disk_entries, 0u);
   }
   EXPECT_EQ(file_count(dir, ".slab"), 0u);
@@ -754,7 +758,7 @@ TEST(FaultDurability, RenameCrashPublishesNothingAndNextAttachCleansUp) {
   EXPECT_EQ(revived.stats().orphan_drops, 1u);
 }
 
-// ------------------------------------- shutdown, deadlines, cancellation
+// ------------------------------------------ shutdown and cancellation
 
 TEST(FaultShutdown, BoundedShutdownAbandonsQueuedQueriesWithFullRefund) {
   std::promise<void> gate;
@@ -762,13 +766,14 @@ TEST(FaultShutdown, BoundedShutdownAbandonsQueuedQueriesWithFullRefund) {
   Privid sys = make_system();
   sys.register_executable("gate", gated_exe(opened));
   QueryService::Config cfg = service_config(1, CacheMode::kOff);
-  cfg.round_tasks = 1;
   cfg.shutdown_grace_ms = 200;
   auto& service = sys.configure_service(cfg);
   const std::string pristine_b = ledger_bytes(sys, "camB");
 
   // A's single task blocks the dispatcher mid-round; B and C queue behind
-  // it and the grace period expires long before the gate opens.
+  // it and the grace period expires long before the gate opens. A round
+  // holds 4 tasks at one thread, so at most 3 of B's 20 can share A's
+  // round: both B and C still have queued work to abandon.
   QueryTicket a = service.submit("alice", gate_query());
   QueryTicket b = service.submit("bob", probe_query("camB"));
   QueryTicket c = service.submit("bob", probe_query("camB"));
@@ -809,38 +814,16 @@ TEST(FaultShutdown, ShutdownIsIdempotentAndDestructorSafe) {
   service.shutdown();  // second call is a no-op, not a deadlock
 }
 
-TEST(FaultDeadline, ExpiredDeadlineCancelsWithRefund) {
-  Privid sys = make_system();
-  auto& service = sys.configure_service(service_config(1, CacheMode::kOff));
-  const std::string pristine = ledger_bytes(sys, "camA");
-
-  RunOptions opts;
-  opts.deadline_rounds = 1;  // 20 tasks cannot fit one 4-task round
-  QueryTicket t = service.submit("alice", probe_query("camA"), opts);
-  EXPECT_THROW(service.wait(t), DeadlineError);
-  EXPECT_EQ(service.poll(t), QueryState::kCancelled);
-  EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
-  service.drain();
-  EXPECT_EQ(service.stats().cancelled, 1u);
-
-  // A generous deadline changes nothing about the result.
-  opts.deadline_rounds = 1000;
-  QueryResult r =
-      service.wait(service.submit("alice", probe_query("camA"), opts));
-  EXPECT_EQ(r.releases.size(), 1u);
-  EXPECT_EQ(ledger_bytes(sys, "camA"), charged_ledger("camA", 1));
-}
-
 TEST(FaultCancel, UserCancelDropsQueuedWorkAndRefunds) {
   std::promise<void> gate;
   Privid sys = make_system();
   sys.register_executable("gate", gated_exe(gate.get_future().share()));
-  QueryService::Config cfg = service_config(1, CacheMode::kOff);
-  cfg.round_tasks = 1;
-  auto& service = sys.configure_service(cfg);
+  auto& service =
+      sys.configure_service(service_config(1, CacheMode::kOff));
   const std::string pristine_b = ledger_bytes(sys, "camB");
 
-  // A blocks the dispatcher; B is entirely queued when the cancel lands.
+  // A blocks the dispatcher; none of B's tasks has run when the cancel
+  // lands (any that share A's round are skipped when their turn comes).
   QueryTicket a = service.submit("alice", gate_query());
   QueryTicket b = service.submit("bob", probe_query("camB"));
   EXPECT_TRUE(service.cancel(b));

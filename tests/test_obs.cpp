@@ -596,5 +596,31 @@ TEST(ObsPool, GaugesReturnToZeroAtQuiescence) {
   EXPECT_EQ(pool.active_workers(), 0u);
 }
 
+TEST(ObsPool, FacadeKeepsOneHardwareSizedPoolAcrossThreadCounts) {
+  const auto workers = [] {
+    return Registry::global().snapshot().gauge_value("pool.workers");
+  };
+  const auto hw_workers =
+      static_cast<std::int64_t>(ThreadPool::resolve_threads(0)) - 1;
+  Privid sys = make_system();
+  RunOptions opts;
+  opts.charge_budget = false;
+  opts.num_threads = 1;
+  sys.execute(probe_query(), opts);
+  EXPECT_EQ(workers(), 0);  // sequential queries never create the pool
+  // The first multi-threaded query creates the pool at hardware size;
+  // later queries, whatever their thread count, cap their own batches
+  // instead of resizing it, and the service borrows the same pool.
+  for (std::size_t threads : {2u, 4u, 0u}) {
+    opts.num_threads = threads;
+    sys.execute(probe_query(), opts);
+    EXPECT_EQ(workers(), hw_workers) << "after execute at " << threads;
+  }
+  service::QueryService& service = sys.service();
+  EXPECT_EQ(workers(), hw_workers);
+  service.wait(service.submit("alice", probe_query()));
+  EXPECT_EQ(workers(), hw_workers);
+}
+
 }  // namespace
 }  // namespace privid::obs
