@@ -97,7 +97,12 @@ void ThreadPool::parallel_for(std::size_t n,
   lk.unlock();
   g_queue_depth_->set(0);
 
-  if (batch->first_error) std::rethrow_exception(batch->first_error);
+  // Move the error out of the batch: a worker may drop the last reference
+  // to the batch after this returns, and must not be the thread that
+  // releases the exception the caller is still handling.
+  if (std::exception_ptr error = std::move(batch->first_error)) {
+    std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::worker_loop() {
@@ -122,33 +127,46 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::work(Batch& batch) {
   t_inside_pool_task = true;
-  // A participant counts as active from its first claimed index until it
+  // A participant counts as active from its first claimed morsel until it
   // finds the batch drained. parallel_for returns only once `inside` is
   // back at zero, so the gauges read zero at quiescence; a worker that
   // arrives after the last index was claimed never counts at all.
   bool counted = false;
+  const std::size_t divisor = 4 * (batch.max_workers + 1);  // + the caller
   for (;;) {
-    std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) break;
+    // Guided grain from a possibly stale cursor read: a stale read only
+    // makes the grain larger than the exact guided value, never zero.
+    const std::size_t seen = batch.next.load(std::memory_order_relaxed);
+    if (seen >= batch.n) break;
+    const std::size_t grain =
+        std::max<std::size_t>(1, (batch.n - seen) / divisor);
+    const std::size_t begin =
+        batch.next.fetch_add(grain, std::memory_order_relaxed);
+    if (begin >= batch.n) break;
+    const std::size_t end = std::min(batch.n, begin + grain);
+    const std::size_t claimed = end - begin;
     if (!counted) {
       counted = true;
       batch.inside.fetch_add(1, std::memory_order_relaxed);
       g_active_workers_->add(1);
     }
-    g_queue_depth_->sub(1);
-    try {
-      // Models a worker dying as it picks up the task — before the task
-      // function runs, so it lands in first_error like any task failure.
-      fault::inject("pool.task");
-      (*batch.fn)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(batch.error_mu);
-      if (!batch.first_error || i < batch.first_error_index) {
-        batch.first_error = std::current_exception();
-        batch.first_error_index = i;
+    g_queue_depth_->sub(static_cast<std::int64_t>(claimed));
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        // Models a worker dying as it picks up the task — before the task
+        // function runs, so it lands in first_error like any task failure.
+        fault::inject("pool.task");
+        (*batch.fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(batch.error_mu);
+        if (!batch.first_error || i < batch.first_error_index) {
+          batch.first_error = std::current_exception();
+          batch.first_error_index = i;
+        }
       }
     }
-    if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (batch.remaining.fetch_sub(claimed, std::memory_order_acq_rel) ==
+        claimed) {
       std::lock_guard<std::mutex> lk(mu_);  // pair with the caller's wait
       done_.notify_all();
     }

@@ -4,10 +4,16 @@
 // chunk x region sandbox invocation is a pure function of its ChunkView
 // with a private random tape (engine/sandbox.hpp), so invocations can run
 // in any order on any thread. The pool deliberately has no work stealing
-// and no futures — parallel_for hands out indices from a shared atomic
-// counter and every participant writes into caller-owned, pre-sized slots,
-// so results are byte-identical to the sequential order no matter how the
-// scheduler interleaves tasks.
+// and no futures — every participant writes into caller-owned, pre-sized
+// slots, so results are byte-identical to the sequential order no matter
+// how the scheduler interleaves tasks.
+//
+// Participants claim indices in guided morsels: one fetch_add on the
+// batch's cursor takes max(1, unclaimed / (4 x participants)) consecutive
+// indices. Microsecond tasks (a Porto fan-out runs 10^4-10^5 of them per
+// query) then pay one shared-cacheline RMW per morsel instead of per
+// index, while the grain shrinks to a single index at the tail, so a
+// batch of a few long tasks still spreads one task per thread.
 //
 // Determinism contract: parallel_for(n, fn) calls fn(i) exactly once for
 // every i in [0, n); fn must only write state owned by index i. Under that
@@ -83,8 +89,8 @@ class ThreadPool {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t max_workers = 0;            // worker join cap (caller extra)
     std::atomic<std::size_t> joined{0};     // workers that claimed a slot
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining{0};
+    std::atomic<std::size_t> next{0};       // first unclaimed index
+    std::atomic<std::size_t> remaining{0};  // indices not yet finished
     std::atomic<std::size_t> inside{0};  // participants still in work()
     std::mutex error_mu;
     std::exception_ptr first_error;

@@ -488,15 +488,19 @@ void PreparedQuery::assemble(std::size_t phase,
   std::size_t total = 0;
   for (const auto& slot : slots) total += slot.row_count();
   ph.bound->data.reserve_rows(total);
+  // The trusted cells are built once per region; only the chunk timestamp
+  // (cell 0) changes from slot to slot. Slots still splice in task order,
+  // so the region and camera dictionaries intern in the same order.
+  std::vector<std::vector<Value>> trailing(ph.n_regions);
+  for (std::size_t r = 0; r < ph.n_regions; ++r) {
+    trailing[r].emplace_back(0.0);  // chunk, set per slot
+    if (ph.rs.scheme) trailing[r].emplace_back(ph.rs.scheme->region(r).name);
+    trailing[r].emplace_back(ph.s->camera);
+  }
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    const auto& chunk = ph.chunks[i / ph.n_regions];
-    const Region* region =
-        ph.rs.scheme ? &ph.rs.scheme->region(i % ph.n_regions) : nullptr;
-    std::vector<Value> trailing;
-    trailing.emplace_back(chunk.time.begin);            // chunk
-    if (ph.rs.scheme) trailing.emplace_back(region->name);  // region
-    trailing.emplace_back(ph.s->camera);                // camera
-    ph.bound->data.append_slab(slots[i], trailing);
+    std::vector<Value>& cells = trailing[i % ph.n_regions];
+    cells[0] = Value(ph.chunks[i / ph.n_regions].time.begin);
+    ph.bound->data.append_slab(slots[i], cells);
   }
   ph.assembled = true;
 }

@@ -58,19 +58,46 @@ std::size_t bucket_index(std::uint64_t ns) {
 }  // namespace
 
 void LatencyHistogram::observe_ns(std::uint64_t ns) {
-  buckets_[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
+  Stripe& s = stripes_[detail::stripe_index()];
+  s.buckets[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
+  s.count.fetch_add(1, std::memory_order_relaxed);
+  s.sum.fetch_add(ns, std::memory_order_relaxed);
+  std::uint64_t prev = s.max.load(std::memory_order_relaxed);
   while (prev < ns &&
-         !max_.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
+         !s.max.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
   }
 }
 
+std::uint64_t LatencyHistogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& s : stripes_) {
+    total += s.count.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t LatencyHistogram::sum_ns() const {
+  std::uint64_t total = 0;
+  for (const auto& s : stripes_) {
+    total += s.sum.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t LatencyHistogram::max_ns() const {
+  std::uint64_t out = 0;
+  for (const auto& s : stripes_) {
+    out = std::max(out, s.max.load(std::memory_order_relaxed));
+  }
+  return out;
+}
+
 std::vector<std::uint64_t> LatencyHistogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(kBuckets);
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> out(kBuckets, 0);
+  for (const auto& s : stripes_) {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      out[i] += s.buckets[i].load(std::memory_order_relaxed);
+    }
   }
   return out;
 }

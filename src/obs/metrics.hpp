@@ -13,15 +13,17 @@
 //     explicitly by benches/tests, keeping deterministic outputs (fig6
 //     byte-diffs) untouched.
 //
-// Concurrency: Counter::add is a relaxed fetch_add on one of a small set
-// of cacheline-padded stripes picked per thread, so the hot paths
-// (per-task, per-lookup) never contend on a single line. Snapshot reads
-// are racy-by-design aggregations — exact at quiescence, approximate
-// mid-flight — which is the usual monitoring contract.
+// Concurrency: Counter::add and LatencyHistogram::observe_ns are relaxed
+// RMWs on one of a small set of cacheline-padded stripes picked per
+// thread, so the hot paths (per-task, per-lookup) never contend on a
+// single line. Snapshot reads are racy-by-design aggregations — exact at
+// quiescence, approximate mid-flight — which is the usual monitoring
+// contract.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -37,6 +39,10 @@ namespace detail {
 std::uint64_t now_ns();
 // Stable per-thread small integer for striping and trace thread ids.
 unsigned thread_index();
+// Hot-path metrics spread their writers over this many cacheline-aligned
+// stripes, picked by thread_index().
+inline constexpr std::size_t kStripes = 8;
+inline std::size_t stripe_index() { return thread_index() % kStripes; }
 }  // namespace detail
 
 // Monotonically increasing event count. Striped to keep concurrent add()
@@ -49,8 +55,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t n = 1) {
-    stripes_[detail::thread_index() % kStripes].v.fetch_add(
-        n, std::memory_order_relaxed);
+    stripes_[detail::stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
     std::uint64_t total = 0;
@@ -59,11 +64,10 @@ class Counter {
   }
 
  private:
-  static constexpr std::size_t kStripes = 8;
   struct alignas(64) Stripe {
     std::atomic<std::uint64_t> v{0};
   };
-  std::array<Stripe, kStripes> stripes_;
+  std::array<Stripe, detail::kStripes> stripes_;
 };
 
 // Point-in-time signed level (queue depth, resident bytes, live entries).
@@ -100,6 +104,11 @@ class DoubleCounter {
 // bucket i covers [256 << (i-1), 256 << i) ns, 40 buckets total (top bucket
 // reaches ~39 hours — effectively unbounded for query work). Percentiles
 // come from privid::bucket_percentile over the bucket edges.
+//
+// Striped like Counter: each thread observes into its own cacheline-
+// aligned stripe of buckets, count, sum and max, so a per-task timer on
+// every pool thread does not contend on one line. The readers merge the
+// stripes (exact at quiescence).
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 40;
@@ -110,19 +119,22 @@ class LatencyHistogram {
 
   void observe_ns(std::uint64_t ns);
 
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t max_ns() const { return max_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const;
+  std::uint64_t sum_ns() const;
+  std::uint64_t max_ns() const;
   std::vector<std::uint64_t> bucket_counts() const;
   // Lower/upper bucket edges in nanoseconds, shared by every instance.
   static std::vector<double> bucket_lower_ns();
   static std::vector<double> bucket_upper_ns();
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> max{0};
+  };
+  std::array<Stripe, detail::kStripes> stripes_;
 };
 
 // A component's named metrics. Components create their metrics once (in

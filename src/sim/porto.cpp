@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/error.hpp"
@@ -30,6 +31,17 @@ PortoSynth::PortoSynth(PortoConfig cfg) : cfg_(cfg) {
   // the margin must dominate route-sampling variance even for small fleets.
   camera_weight_[20 % cfg_.n_cameras] = 4.0;
 
+  // Deterministic per-camera visit-duration cap in [15, 525] s.
+  camera_rho_.resize(static_cast<std::size_t>(cfg_.n_cameras));
+  for (int c = 0; c < cfg_.n_cameras; ++c) {
+    Rng r(seed_mix(cfg_.seed, 0x3000 + static_cast<std::uint64_t>(c)));
+    camera_rho_[static_cast<std::size_t>(c)] = 15.0 + r.uniform() * 510.0;
+  }
+
+  memo_ = std::vector<std::atomic<const DayVisits*>>(
+      static_cast<std::size_t>(cfg_.n_cameras) *
+      static_cast<std::size_t>(cfg_.n_days));
+
   // Each taxi's habitual route: sampled by popularity weight.
   routes_.resize(static_cast<std::size_t>(cfg_.n_taxis));
   double total_w = 0;
@@ -51,6 +63,10 @@ PortoSynth::PortoSynth(PortoConfig cfg) : cfg_(cfg) {
   }
 }
 
+PortoSynth::~PortoSynth() {
+  for (auto& cell : memo_) delete cell.load(std::memory_order_acquire);
+}
+
 bool PortoSynth::taxi_visits_camera(int taxi, int camera) const {
   const auto& r = routes_.at(static_cast<std::size_t>(taxi));
   return std::binary_search(r.begin(), r.end(), camera);
@@ -60,9 +76,7 @@ Seconds PortoSynth::camera_rho(int camera) const {
   if (camera < 0 || camera >= cfg_.n_cameras) {
     throw ArgumentError("camera id out of range");
   }
-  // Deterministic per-camera visit-duration cap in [15, 525] s.
-  Rng r(seed_mix(cfg_.seed, 0x3000 + static_cast<std::uint64_t>(camera)));
-  return 15.0 + r.uniform() * 510.0;
+  return camera_rho_[static_cast<std::size_t>(camera)];
 }
 
 void PortoSynth::taxi_day_visits(int taxi, int day, int camera,
@@ -88,7 +102,7 @@ void PortoSynth::taxi_day_visits(int taxi, int day, int camera,
   Seconds s0 = day0 + shift_start_h * 3600.0;
   Seconds s1 = s0 + shift_len_h * 3600.0;
 
-  Seconds rho = camera_rho(camera);
+  const Seconds rho = camera_rho_[static_cast<std::size_t>(camera)];
   std::int64_t n = r.poisson(cfg_.visits_per_camera_day);
   for (std::int64_t i = 0; i < n; ++i) {
     TaxiVisit v;
@@ -102,26 +116,28 @@ void PortoSynth::taxi_day_visits(int taxi, int day, int camera,
 
 const std::vector<TaxiVisit>& PortoSynth::day_visits(int camera,
                                                      int day) const {
-  auto key = std::make_pair(camera, day);
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  // Generation is deterministic, so it runs unlocked; the map is only
-  // touched under a scoped guard.
-  std::vector<TaxiVisit> out;
+  const auto days = static_cast<std::size_t>(cfg_.n_days);
+  std::atomic<const DayVisits*>& cell =
+      memo_[static_cast<std::size_t>(camera) * days +
+            static_cast<std::size_t>(day)];
+  const DayVisits* published = cell.load(std::memory_order_acquire);
+  if (published != nullptr) return *published;
+  // Generation is deterministic, so racing threads build identical copies
+  // and the first to publish wins.
+  auto out = std::make_unique<DayVisits>();
   for (int taxi = 0; taxi < cfg_.n_taxis; ++taxi) {
-    taxi_day_visits(taxi, day, camera, &out);
+    taxi_day_visits(taxi, day, camera, out.get());
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out->begin(), out->end(),
             [](const TaxiVisit& a, const TaxiVisit& b) {
               return a.start < b.start;
             });
-  // A racing thread may have inserted the (identical, deterministic) value
-  // already; emplace keeps the first copy either way.
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.emplace(key, std::move(out)).first->second;
+  if (cell.compare_exchange_strong(published, out.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *out.release();
+  }
+  return *published;  // lost the race: `out` frees this thread's copy
 }
 
 std::vector<TaxiVisit> PortoSynth::visits(int camera,

@@ -14,11 +14,9 @@
 // 104.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -46,6 +44,11 @@ struct PortoConfig {
 class PortoSynth {
  public:
   explicit PortoSynth(PortoConfig cfg);
+  ~PortoSynth();
+
+  // Concurrent tasks hold references into the visit memo.
+  PortoSynth(const PortoSynth&) = delete;
+  PortoSynth& operator=(const PortoSynth&) = delete;
 
   const PortoConfig& config() const { return cfg_; }
 
@@ -75,19 +78,22 @@ class PortoSynth {
   void taxi_day_visits(int taxi, int day, int camera,
                        std::vector<TaxiVisit>* out) const;
   bool taxi_visits_camera(int taxi, int camera) const;
-  // All visits to a camera on one day, sorted by start; cached so chunked
-  // queries (thousands of lookups per day) pay generation once.
+  // All visits to a camera on one day, sorted by start; memoized so
+  // chunked queries (thousands of lookups per day) pay generation once.
   const std::vector<TaxiVisit>& day_visits(int camera, int day) const;
 
   PortoConfig cfg_;
   // taxi -> habitual route (sorted camera ids)
   std::vector<std::vector<int>> routes_;
   std::vector<double> camera_weight_;
-  // Guarded by cache_mu_ so concurrent PROCESS tasks can share one synth;
-  // returned references stay valid after unlock (map nodes are stable and
-  // entries are never modified once inserted).
-  mutable std::mutex cache_mu_;
-  mutable std::map<std::pair<int, int>, std::vector<TaxiVisit>> cache_;
+  std::vector<Seconds> camera_rho_;
+  // The visit memo: one cell per (camera, day), at camera * n_days + day,
+  // null until that day's visits are first generated. A cell is published
+  // once by compare-and-swap (a racing generator frees its identical copy)
+  // and is immutable afterwards, so concurrent PROCESS tasks read it
+  // without a lock and returned references live as long as the synth.
+  using DayVisits = std::vector<TaxiVisit>;
+  mutable std::vector<std::atomic<const DayVisits*>> memo_;
 };
 
 }  // namespace privid::sim

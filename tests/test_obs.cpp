@@ -248,6 +248,64 @@ TEST(ObsHistogram, ConcurrentObservationsAllLand) {
   std::uint64_t total = 0;
   for (auto c : h.bucket_counts()) total += c;
   EXPECT_EQ(total, h.count());
+  std::uint64_t sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    sum += static_cast<std::uint64_t>(kPerThread) *
+           (static_cast<std::uint64_t>(t) * 1000 + 100);
+  }
+  EXPECT_EQ(h.sum_ns(), sum);
+  EXPECT_EQ(h.max_ns(), static_cast<std::uint64_t>(kThreads - 1) * 1000 + 100);
+}
+
+TEST(ObsHistogram, StripedSnapshotMatchesSingleThreadFeed) {
+  // The same multiset of observations, fed from 4 threads into one
+  // histogram and from 1 thread into another, must snapshot identically:
+  // striping changes where a sample lands, never what the readers report.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;
+  auto sample = [](int t, int i) {
+    // Spread over ~15 buckets, with a distinct maximum per thread.
+    return static_cast<std::uint64_t>((i * 7919 + t * 104729) % 4'000'000) +
+           static_cast<std::uint64_t>(t) * 13;
+  };
+  Registry striped_reg;
+  Registry serial_reg;
+  MetricGroup striped_group;
+  MetricGroup serial_group;
+  LatencyHistogram* striped = striped_group.histogram("h");
+  LatencyHistogram* serial = serial_group.histogram("h");
+  Registration r1 = striped_reg.attach(&striped_group);
+  Registration r2 = serial_reg.attach(&serial_group);
+
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) striped->observe_ns(sample(t, i));
+    });
+  }
+  for (auto& t : ts) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) serial->observe_ns(sample(t, i));
+  }
+
+  EXPECT_EQ(striped->bucket_counts(), serial->bucket_counts());
+  EXPECT_EQ(striped->count(), serial->count());
+  EXPECT_EQ(striped->sum_ns(), serial->sum_ns());
+  EXPECT_EQ(striped->max_ns(), serial->max_ns());
+  const Snapshot a = striped_reg.snapshot();
+  const Snapshot b = serial_reg.snapshot();
+  const Snapshot::HistogramRow* ra = a.histogram_row("h");
+  const Snapshot::HistogramRow* rb = b.histogram_row("h");
+  ASSERT_NE(ra, nullptr);
+  ASSERT_NE(rb, nullptr);
+  EXPECT_EQ(ra->count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(ra->count, rb->count);
+  EXPECT_EQ(ra->total_ms, rb->total_ms);
+  EXPECT_EQ(ra->p50_ms, rb->p50_ms);
+  EXPECT_EQ(ra->p90_ms, rb->p90_ms);
+  EXPECT_EQ(ra->p99_ms, rb->p99_ms);
+  EXPECT_EQ(ra->max_ms, rb->max_ms);
+  EXPECT_EQ(a.json(), b.json());
 }
 
 // -------------------------------------------------------------- registry

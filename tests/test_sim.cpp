@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/entity.hpp"
@@ -351,6 +353,64 @@ TEST(Porto, BusiestCameraIsBoosted) {
   cfg.n_taxis = 150;
   PortoSynth p(cfg);
   EXPECT_EQ(p.true_busiest_camera(), 20);
+}
+
+TEST(Porto, ConcurrentColdLookupsMatchSerial) {
+  // Four threads race to generate and publish the same (camera, day) memo
+  // cells on a cold synth; every result must equal a serial synth's.
+  PortoConfig cfg;
+  cfg.n_days = 12;
+  cfg.n_taxis = 120;
+  cfg.n_cameras = 30;
+  struct Query {
+    int camera;
+    TimeInterval window;
+  };
+  std::vector<Query> queries;
+  for (int cam : {20, 3, 20, 11}) {
+    for (int d = 0; d < 9; d += 2) {
+      // Overlapping windows that start and end mid-day.
+      queries.push_back({cam, {(d + 0.5) * 86400.0, (d + 3.25) * 86400.0}});
+    }
+  }
+  PortoSynth serial(cfg);
+  std::vector<std::vector<TaxiVisit>> expected;
+  for (const auto& q : queries) {
+    expected.push_back(serial.visits(q.camera, q.window));
+  }
+
+  PortoSynth shared(cfg);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<TaxiVisit>>> got(kThreads);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      // Each thread walks the queries from a different offset, so threads
+      // collide on cold cells rather than following one another.
+      got[t].resize(queries.size());
+      const std::size_t offset = 5 * static_cast<std::size_t>(t);
+      for (std::size_t k = 0; k < queries.size(); ++k) {
+        const std::size_t i = (k + offset) % queries.size();
+        got[t][i] = shared.visits(queries[i].camera, queries[i].window);
+      }
+    });
+  }
+  for (auto& th : ts) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto& a = got[t][i];
+      const auto& b = expected[i];
+      ASSERT_EQ(a.size(), b.size()) << "thread " << t << " query " << i;
+      EXPECT_FALSE(a.empty());
+      for (std::size_t j = 0; j < a.size(); ++j) {
+        EXPECT_EQ(a[j].taxi_id, b[j].taxi_id);
+        EXPECT_EQ(a[j].camera_id, b[j].camera_id);
+        EXPECT_EQ(a[j].start, b[j].start);
+        EXPECT_EQ(a[j].duration, b[j].duration);
+      }
+    }
+  }
 }
 
 TEST(Porto, PlateFormat) {

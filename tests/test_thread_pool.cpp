@@ -6,15 +6,19 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/privid.hpp"
 #include "engine/standing.hpp"
+#include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scenarios.hpp"
 
 namespace privid::engine {
@@ -75,6 +79,83 @@ TEST(ThreadPool, RethrowsLowestIndexException) {
     EXPECT_STREQ(e.what(), "3");
   }
   EXPECT_EQ(executed.load(), 64);
+}
+
+TEST(ThreadPool, EveryIndexRunsOnceAcrossSizesAndCaps) {
+  // Sizes around the morsel arithmetic: fewer indices than participants,
+  // a prime, and a batch large enough for multi-index morsels.
+  ThreadPool pool(3);
+  for (std::size_t n : {2u, 3u, 5u, 97u, 100003u}) {
+    for (std::size_t cap : {0u, 2u}) {
+      std::vector<std::atomic<int>> counts(n);
+      pool.parallel_for(
+          n, [&](std::size_t i) { counts[i].fetch_add(1); }, cap);
+      std::size_t wrong = 0;
+      for (const auto& c : counts) wrong += c.load() != 1;
+      EXPECT_EQ(wrong, 0u) << "n=" << n << " max_threads=" << cap;
+    }
+  }
+}
+
+TEST(ThreadPool, LowestIndexRethrowSpansMorsels) {
+  // The two throwing indices are far apart, so they land in different
+  // morsels (and usually on different threads); the lower one still wins.
+  ThreadPool pool(3);
+  std::atomic<std::size_t> executed{0};
+  try {
+    pool.parallel_for(100000, [&](std::size_t i) {
+      executed.fetch_add(1);
+      if (i == 40000 || i == 99999) {
+        throw std::runtime_error(std::to_string(i));
+      }
+    });
+    FAIL() << "expected the batch to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "40000");
+  }
+  EXPECT_EQ(executed.load(), 100000u);
+}
+
+TEST(ThreadPool, GaugesAndItemCountSettleOnReturn) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 50000;
+  const std::uint64_t items_before =
+      obs::Registry::global().snapshot().counter_value("pool.items");
+  std::atomic<std::size_t> ran{0};
+  pool.parallel_for(kN, [&](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), kN);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.active_workers(), 0u);
+  const obs::Snapshot after = obs::Registry::global().snapshot();
+  EXPECT_EQ(after.counter_value("pool.items") - items_before, kN);
+  EXPECT_EQ(after.gauge_value("pool.queue_depth"), 0);
+  EXPECT_EQ(after.gauge_value("pool.active_workers"), 0);
+}
+
+TEST(ThreadPool, TaskFaultPlanFailsEveryNthIndex) {
+  // pool.task fires once per index, before fn(i), whatever the morsel
+  // grain: under every<N>, exactly floor(n / N) indices never run.
+  ThreadPool pool(3);
+  for (std::size_t every : {1u, 7u, 1000u}) {
+    constexpr std::size_t kN = 20011;
+    std::optional<fault::FaultPlan> plan =
+        fault::FaultPlan::parse("pool.task:every" + std::to_string(every));
+    ASSERT_TRUE(plan.has_value());
+    fault::Injector::global().set_plan(*std::move(plan));
+    std::atomic<std::size_t> ran{0};
+    const auto count_run = [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    };
+    EXPECT_THROW(pool.parallel_for(kN, count_run), FaultInjectedError);
+    const fault::SiteStats stats =
+        fault::Injector::global().site_stats().at("pool.task");
+    fault::Injector::global().clear();
+    EXPECT_EQ(kN - ran.load(), kN / every) << "every" << every;
+    EXPECT_EQ(stats.visits, kN);
+    EXPECT_EQ(stats.fired, kN / every);
+  }
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
