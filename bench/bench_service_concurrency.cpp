@@ -176,7 +176,8 @@ int main() {
               warm.wall_seconds, warm.invocations, warm.raw_sum);
   std::printf("extended wave:    %.3f s, %ld sandbox runs, raw %.0f\n",
               extended.wall_seconds, extended.invocations, extended.raw_sum);
-  std::printf("scheduler:        %llu tasks in %llu rounds, %llu dropped\n",
+  std::printf("scheduler:        %llu tasks in %llu busy periods, "
+              "%llu dropped\n",
               static_cast<unsigned long long>(stats.scheduler.tasks_run),
               static_cast<unsigned long long>(stats.scheduler.rounds),
               static_cast<unsigned long long>(stats.scheduler.tasks_dropped));

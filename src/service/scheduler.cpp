@@ -14,7 +14,7 @@ QueryScheduler::QueryScheduler(ThreadPool* pool, std::size_t threads,
                                SettleCallback on_settled,
                                std::size_t shutdown_grace_ms)
     : pool_(pool), threads_(std::max<std::size_t>(threads, 1)),
-      round_size_(kRoundTasksPerThread * threads_), owner_mu_(owner_mu),
+      owner_mu_(owner_mu),
       on_settled_(std::move(on_settled)),
       shutdown_grace_ms_(shutdown_grace_ms) {
   if (!owner_mu_) throw ArgumentError("QueryScheduler requires owner mutex");
@@ -55,22 +55,23 @@ void QueryScheduler::submit(const std::shared_ptr<QueryJob>& job) {
   if (!job || !job->prepared) {
     throw ArgumentError("QueryScheduler::submit requires a prepared job");
   }
+  const std::size_t total = job->prepared->total_tasks();
+  if (total == 0) {
+    throw ArgumentError("QueryScheduler::submit requires at least one task");
+  }
+  job->tasks_left.store(total, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) throw ArgumentError("QueryScheduler is shut down");
     ++unsettled_jobs_;
-    if (job->total_tasks == 0) {
-      taskless_jobs_.push_back(job);
-    } else {
-      for (std::size_t phase = 0; phase < job->prepared->phase_count();
-           ++phase) {
-        const std::size_t n = job->prepared->task_count(phase);
-        for (std::size_t t = 0; t < n; ++t) {
-          queue_.push(job->analyst, TaskRef{job, phase, t});
-        }
+    for (std::size_t phase = 0; phase < job->prepared->phase_count();
+         ++phase) {
+      const std::size_t n = job->prepared->task_count(phase);
+      for (std::size_t t = 0; t < n; ++t) {
+        queue_.push(job->analyst, TaskRef{job, phase, t});
       }
-      g_queued_->set(static_cast<std::int64_t>(queue_.size()));
     }
+    g_queued_->set(static_cast<std::int64_t>(queue_.size()));
   }
   work_cv_.notify_all();
 }
@@ -91,11 +92,8 @@ bool QueryScheduler::cancel(const std::shared_ptr<QueryJob>& job,
     }
   }
   int expected = static_cast<int>(CancelReason::kNone);
-  const bool won = job->cancel_reason.compare_exchange_strong(
+  return job->cancel_reason.compare_exchange_strong(
       expected, static_cast<int>(reason), std::memory_order_acq_rel);
-  // Wake the dispatcher so the drop happens promptly even when idle.
-  work_cv_.notify_all();
-  return won;
 }
 
 QueryScheduler::Stats QueryScheduler::stats() const {
@@ -114,107 +112,87 @@ std::map<std::string, std::uint64_t> QueryScheduler::served() const {
 }
 
 void QueryScheduler::loop() {
-  while (true) {
-    std::vector<TaskRef> round;
-    std::vector<std::shared_ptr<QueryJob>> finished;
-    std::size_t dropped = 0;
+  for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || !queue_.empty() || !taskless_jobs_.empty();
-      });
-      // On stop, keep dispatching until every admitted job settles — a
+      work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      // On stop, keep serving until every admitted job settles — a
       // reservation must end in commit or refund, never limbo. (Abandoned
-      // jobs below *also* settle, as cancellations.)
-      if (stop_ && queue_.empty() && taskless_jobs_.empty()) break;
-      finished.reserve(taskless_jobs_.size());
-      for (auto& job : taskless_jobs_) finished.push_back(std::move(job));
-      taskless_jobs_.clear();
-
-      TaskRef t;
-      if (abandon_) {
-        // Bounded shutdown expired its grace: every still-queued task is
-        // dropped and its job settles kCancelled/kShutdown — never run
-        // past the bound, never left in limbo holding a reservation.
-        while (queue_.pop(&t)) {
-          int expected = static_cast<int>(CancelReason::kNone);
-          t.job->cancel_reason.compare_exchange_strong(
-              expected, static_cast<int>(CancelReason::kShutdown),
-              std::memory_order_acq_rel);
-          ++dropped;
-          if (++t.job->tasks_done == t.job->total_tasks) {
-            finished.push_back(t.job);
-          }
-        }
-      }
-      while (round.size() < round_size_ && queue_.pop(&t)) {
-        if (t.job->failed.load(std::memory_order_acquire) ||
-            t.job->cancel_reason.load(std::memory_order_acquire) !=
-                static_cast<int>(CancelReason::kNone)) {
-          // A sibling task already failed the query, or it was cancelled;
-          // don't waste pool time.
-          ++dropped;
-          if (++t.job->tasks_done == t.job->total_tasks) {
-            finished.push_back(t.job);
-          }
-          continue;
-        }
-        round.push_back(std::move(t));
-      }
-      g_queued_->set(static_cast<std::int64_t>(queue_.size()));
+      // jobs *also* settle, as cancellations.) An empty queue between busy
+      // periods means every job has settled.
+      if (queue_.empty()) break;
     }
-
-    const std::size_t skipped = run_round(round, &finished);
-
-    c_tasks_run_->add(round.size() - skipped);
-    c_tasks_dropped_->add(dropped + skipped);
-    if (!round.empty()) c_rounds_->add();
-    c_settled_->add(finished.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      unsettled_jobs_ -= finished.size();
-      if (unsettled_jobs_ == 0) idle_cv_.notify_all();
+    obs::Span span("sched.round", "sched");
+    c_rounds_->add();
+    if (pool_ != nullptr && threads_ > 1) {
+      try {
+        pool_->parallel_for(
+            threads_, [this](std::size_t) { pull(); }, threads_);
+      } catch (...) {
+        // A participant lost to a pool-level failure dies before it pulls,
+        // so no task is lost; if every participant was lost, this thread
+        // finishes the busy period itself.
+        pull();
+      }
+    } else {
+      pull();
     }
   }
 }
 
-std::size_t QueryScheduler::run_round(
-    std::vector<TaskRef>& round,
-    std::vector<std::shared_ptr<QueryJob>>* finished) {
-  if (round.empty() && finished->empty()) return 0;
-  obs::Span round_span("sched.round", "sched");
-  if (round_span.active()) {
-    round_span.tag("tasks", static_cast<std::uint64_t>(round.size()));
-  }
-  // Owner-side mutations (mask registration, re-tuning, budget restore)
-  // take this mutex exclusively; holding it shared for the whole round
-  // means a query never observes a camera change mid-flight.
-  std::shared_lock<std::shared_mutex> owner(*owner_mu_);
-
-  for (auto& t : round) {
-    if (!t.job->started.exchange(true)) {
-      // First dispatch of this query: its scheduling wait ends here.
-      t.job->queue_wait.observe(h_queue_wait_);
-      std::lock_guard<std::mutex> lock(t.job->mu);
-      if (t.job->state == QueryState::kQueued) {
-        t.job->state = QueryState::kRunning;
+void QueryScheduler::pull() {
+  bool retired = false;  // this participant has finished a task
+  for (;;) {
+    TaskRef t;  // released outside mu_: it may hold a job's last reference
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (retired && --running_ == 0 && queue_.empty()) {
+        work_cv_.notify_all();
       }
+      // With the queue empty, stay while a sibling still runs a task: a
+      // query submitted during the busy period's tail is served at once.
+      work_cv_.wait(lock, [&] { return !queue_.empty() || running_ == 0; });
+      if (!queue_.pop(&t)) return;
+      g_queued_->set(static_cast<std::int64_t>(queue_.size()));
+      if (abandon_) {
+        // Bounded shutdown expired its grace: every still-queued task is
+        // dropped and its job settles kCancelled/kShutdown — never run
+        // past the bound, never left in limbo holding a reservation.
+        int expected = static_cast<int>(CancelReason::kNone);
+        t.job->cancel_reason.compare_exchange_strong(
+            expected, static_cast<int>(CancelReason::kShutdown),
+            std::memory_order_acq_rel);
+      }
+      ++running_;
     }
+    retire(t);
+    retired = true;
   }
+}
 
-  std::atomic<std::size_t> skipped{0};
-  auto run_one = [&](std::size_t i) {
-    TaskRef& t = round[i];
-    if (t.job->failed.load(std::memory_order_acquire) ||
-        t.job->cancel_reason.load(std::memory_order_acquire) !=
-            static_cast<int>(CancelReason::kNone)) {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
+void QueryScheduler::retire(TaskRef& t) {
+  QueryJob& job = *t.job;
+  // Owner-side mutations (mask registration, re-tuning, budget restore)
+  // take this mutex exclusively; holding it shared for the task and its
+  // query's settle means neither observes a camera change mid-call.
+  std::shared_lock<std::shared_mutex> owner(*owner_mu_);
+  if (job.failed.load(std::memory_order_acquire) ||
+      job.cancel_reason.load(std::memory_order_acquire) !=
+          static_cast<int>(CancelReason::kNone)) {
+    // A sibling task already failed the query, or it was cancelled; don't
+    // waste pool time.
+    c_tasks_dropped_->add();
+  } else {
+    if (!job.started.exchange(true)) {
+      // First dispatch of this query: its scheduling wait ends here.
+      job.queue_wait.observe(h_queue_wait_);
+      std::lock_guard<std::mutex> lock(job.mu);
+      if (job.state == QueryState::kQueued) job.state = QueryState::kRunning;
     }
     obs::Span task_span("sched.task", "sched");
     if (task_span.active()) {
-      task_span.tag("query", t.job->id)
-          .tag("analyst", t.job->analyst)
+      task_span.tag("query", job.id)
+          .tag("analyst", job.analyst)
           .tag("phase", static_cast<std::uint64_t>(t.phase))
           .tag("task", static_cast<std::uint64_t>(t.task));
     }
@@ -224,41 +202,22 @@ std::size_t QueryScheduler::run_round(
       // sharded). Lands in task_error like any task failure — the retry
       // ladder lives below, in the engine.
       fault::inject("sched.dispatch");
-      t.job->slots[t.phase][t.task] =
-          t.job->prepared->run_task(t.phase, t.task);
+      job.slots[t.phase][t.task] = job.prepared->run_task(t.phase, t.task);
     } catch (...) {
       {
-        std::lock_guard<std::mutex> lock(t.job->error_mu);
-        if (!t.job->task_error) t.job->task_error = std::current_exception();
+        std::lock_guard<std::mutex> lock(job.error_mu);
+        if (!job.task_error) job.task_error = std::current_exception();
       }
-      t.job->failed.store(true, std::memory_order_release);
+      job.failed.store(true, std::memory_order_release);
     }
-  };
-  try {
-    if (pool_ != nullptr && threads_ > 1 && round.size() > 1) {
-      pool_->parallel_for(round.size(), run_one, threads_);
-    } else {
-      for (std::size_t i = 0; i < round.size(); ++i) run_one(i);
-    }
-  } catch (...) {
-    // Pool-level failure (a worker slot died before any task function
-    // ran, so no job's catch above recorded it): fail every job in the
-    // round so each settles kFailed and refunds exactly once, instead of
-    // unwinding the dispatcher with the round's accounting half-done.
-    for (auto& t : round) {
-      {
-        std::lock_guard<std::mutex> lock(t.job->error_mu);
-        if (!t.job->task_error) t.job->task_error = std::current_exception();
-      }
-      t.job->failed.store(true, std::memory_order_release);
-    }
+    c_tasks_run_->add();
   }
-
-  for (auto& t : round) {
-    if (++t.job->tasks_done == t.job->total_tasks) finished->push_back(t.job);
-  }
-  for (auto& job : *finished) finalize(*job);
-  return skipped.load(std::memory_order_relaxed);
+  // The last retire sees every sibling's slot write (acq_rel RMW chain).
+  if (job.tasks_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  finalize(job);
+  c_settled_->add();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--unsettled_jobs_ == 0) idle_cv_.notify_all();
 }
 
 void QueryScheduler::finalize(QueryJob& job) {
@@ -301,7 +260,7 @@ void QueryScheduler::finalize(QueryJob& job) {
     // and ignores the rest, so neither a task error nor a finish()-time
     // error (nor both) can refund twice. A refund the ledger refuses
     // (owner restored a pre-reservation snapshot) must fail this query,
-    // not the dispatcher thread.
+    // not the participant settling it.
     try {
       job.reservation.refund();
     } catch (...) {

@@ -4,23 +4,26 @@
 // chunk x region tasks, and the tasks of all in-flight queries compete for
 // the shared thread pool. Scheduling is stride-based: each analyst has a
 // lane with a weight; serving a task advances the lane's virtual "pass" by
-// 1/weight, and the dispatcher always serves the lane with the smallest
-// pass (ties break by analyst id, for determinism). Over any window, an
-// analyst with weight w therefore gets ~w shares of the pool regardless of
-// how many queries it has queued — a flood from one analyst cannot starve
-// the others.
+// 1/weight, and every pull serves the lane with the smallest pass (ties
+// break by analyst id, for determinism). Over any window, an analyst with
+// weight w therefore gets ~w shares of the pool regardless of how many
+// queries it has queued — a flood from one analyst cannot starve the
+// others.
 //
-// Execution model: a single dispatcher thread composes rounds of up to
-// kRoundTasksPerThread x threads tasks (picked one at a time by stride
-// order) and fans each round out over the shared ThreadPool with
-// parallel_for. Tasks only write their own pre-sized slot, so this
-// scheduling layer cannot perturb results: a query's tables are assembled
-// from its slots in sequential task order whenever its last task retires,
-// making releases byte-identical no matter what else the service is
-// running (see engine/executor.hpp on PreparedQuery).
+// Execution model: a dispatcher thread waits for queued work, then hosts
+// one ThreadPool batch per busy period in which every participant pulls
+// the next task in stride order, runs it, and repeats until the queue is
+// empty and no sibling is still running a task (so a query submitted
+// during the period's tail is served at once). There is no barrier
+// between tasks: a long task holds only its own participant. Tasks only
+// write their own pre-sized slot, so this scheduling layer cannot perturb
+// results: whichever participant retires a query's last task assembles
+// its tables from the slots in sequential task order, making releases
+// byte-identical no matter what else the service is running (see
+// engine/executor.hpp on PreparedQuery).
 //
 // Failure: the first task error flips the job's failed flag; its remaining
-// queued tasks are dropped at dispatch, and finalize() refunds the
+// queued tasks are dropped when pulled, and finalize() refunds the
 // admission reservation (exactly once — Reservation settles atomically)
 // instead of committing.
 #pragma once
@@ -70,23 +73,26 @@ struct QueryJob {
   std::string analyst;
   std::uint64_t sequence = 0;  // per-analyst submission ordinal
 
-  // Execution state (dispatcher- and task-owned after submit).
+  // Execution state (task-owned after submit: each task writes only its
+  // own slot; the reservation, rng and assembly belong to whichever task
+  // retires last).
   query::ParsedQuery parsed;
   Rng rng{0};  // this query's private noise stream
   std::unique_ptr<engine::Executor> exec;
   std::unique_ptr<engine::PreparedQuery> prepared;
   std::vector<std::vector<ColumnSlab>> slots;  // [phase][task]
   engine::Reservation reservation;
-  std::size_t total_tasks = 0;
-  std::size_t tasks_done = 0;  // dispatcher-only
+  // Tasks not yet retired (run or dropped); set by submit. The task whose
+  // decrement reaches zero settles the query.
+  std::atomic<std::size_t> tasks_left{0};
   // Started at submit; observed into sched.queue_wait when the first task
   // dispatches (opaque: only the histogram ever sees the duration).
   obs::Stopwatch queue_wait;
   std::atomic<bool> started{false};
   std::atomic<bool> failed{false};
   // First CancelReason to win the compare-exchange (kNone = live). Queued
-  // tasks of a cancelled job are dropped at dispatch and in-round, and
-  // finalize() refunds and settles it kCancelled.
+  // tasks of a cancelled job are dropped when pulled, and finalize()
+  // refunds and settles it kCancelled.
   std::atomic<int> cancel_reason{static_cast<int>(CancelReason::kNone)};
   std::mutex error_mu;
   std::exception_ptr task_error;  // first task failure observed
@@ -168,28 +174,24 @@ class QueryScheduler {
   // from the instance's metric group).
   struct Stats {
     std::uint64_t tasks_run = 0;      // tasks actually executed
-    std::uint64_t tasks_dropped = 0;  // skipped (at dispatch or in-round)
-                                      // because their job already failed
-                                      // or was cancelled
-    std::uint64_t rounds = 0;
+    std::uint64_t tasks_dropped = 0;  // skipped when pulled because their
+                                      // job already failed or was
+                                      // cancelled
+    std::uint64_t rounds = 0;         // busy periods (one pool batch each)
     std::uint64_t queries_settled = 0;
     std::uint64_t queries_cancelled = 0;  // subset settled kCancelled
   };
 
-  // Called on the dispatcher thread when a job settles (kDone / kFailed),
-  // after its reservation committed or refunded.
+  // Called on the participant that retires a job's last task when the job
+  // settles (kDone / kFailed / kCancelled), after its reservation
+  // committed or refunded.
   using SettleCallback = std::function<void(QueryJob&, bool ok)>;
 
-  // Tasks per round per compute thread: large enough to amortize the
-  // round's pool barrier, small enough that fair share is enforced at a
-  // fine grain.
-  static constexpr std::size_t kRoundTasksPerThread = 4;
-
-  // `pool` (non-owning, may be null for sequential execution) runs each
-  // round; `threads` caps the compute threads per round and sizes it
-  // (kRoundTasksPerThread x threads tasks). `owner_mu` (non-owning) is
-  // held shared while tasks run so owner-side mutations (mask registration,
-  // re-tuning) serialize against in-flight queries. `shutdown_grace_ms`
+  // `pool` (non-owning, may be null for sequential execution) hosts each
+  // busy period; `threads` is the number of participants pulling tasks.
+  // `owner_mu` (non-owning) is held shared while each task runs (and while
+  // it settles its query) so owner-side mutations (mask registration,
+  // re-tuning) serialize against in-flight tasks. `shutdown_grace_ms`
   // bounds how long shutdown() waits for in-flight queries to drain
   // before abandoning queued work.
   QueryScheduler(ThreadPool* pool, std::size_t threads,
@@ -204,7 +206,7 @@ class QueryScheduler {
 
   // Enqueues every task of the job (all phases — PROCESS statements are
   // independent) on the analyst's lane. The job must be fully prepared
-  // (prepared, slots sized, total_tasks set).
+  // (prepared, slots sized) and have at least one task.
   void submit(const std::shared_ptr<QueryJob>& job);
 
   // Requests cancellation of a live job. Returns true when this call won
@@ -224,7 +226,7 @@ class QueryScheduler {
   // settle, then abandons whatever is still queued — each abandoned job
   // settles kCancelled (CancelledError, kShutdown) and refunds exactly
   // once — and joins the dispatcher. In-process task functions cannot be
-  // killed mid-call, so a round already executing still unwinds before
+  // killed mid-call, so a task already executing still unwinds before
   // the join returns; the grace bound guarantees queued-but-undispatched
   // work is never silently executed past it. (Killing a truly wedged
   // task needs process isolation — ROADMAP's sharded execution item.)
@@ -241,27 +243,27 @@ class QueryScheduler {
   };
 
   void loop();
-  // Returns how many of the round's tasks were skipped (job had already
-  // failed or been cancelled when the task came up).
-  std::size_t run_round(std::vector<TaskRef>& round,
-                        std::vector<std::shared_ptr<QueryJob>>* finished);
+  // One participant's share of a busy period: pops and runs tasks in
+  // stride order until the queue is empty and no task is running.
+  void pull();
+  // Runs (or drops) one task and, when it is the job's last, settles it.
+  void retire(TaskRef& t);
   void finalize(QueryJob& job);
 
   ThreadPool* pool_;
   const std::size_t threads_;
-  const std::size_t round_size_;
   std::shared_mutex* owner_mu_;
   SettleCallback on_settled_;
   const std::size_t shutdown_grace_ms_;
 
-  mutable std::mutex mu_;  // guards queue_, zero-task list, stop_
-  std::condition_variable work_cv_;  // dispatcher wakes
+  mutable std::mutex mu_;  // guards queue_, counts below, stop_, abandon_
+  std::condition_variable work_cv_;  // dispatcher and idle participants
   std::condition_variable idle_cv_;  // drain() waits
   FairShareQueue<TaskRef> queue_;
-  std::vector<std::shared_ptr<QueryJob>> taskless_jobs_;
+  std::size_t running_ = 0;  // tasks participants are running right now
   std::size_t unsettled_jobs_ = 0;
   bool stop_ = false;
-  // Set by shutdown() after the grace expires: the dispatcher drops the
+  // Set by shutdown() after the grace expires: participants drop the
   // entire remaining queue as kShutdown cancellations instead of running
   // it.
   bool abandon_ = false;
@@ -280,8 +282,9 @@ class QueryScheduler {
   obs::Registration registration_ =
       obs::Registry::global().attach(&metrics_);
   // privcheck:allow(raw-thread): the dispatcher is the scheduler's single
-  // long-lived control-loop thread (dequeue + fairness bookkeeping); all
-  // per-task PROCESS work it dispatches still runs on the shared ThreadPool.
+  // long-lived control-loop thread: an async submit() cannot host a
+  // blocking parallel_for, so it hosts each busy period's batch; all
+  // per-task PROCESS work still runs on the shared ThreadPool.
   std::thread dispatcher_;
 };
 

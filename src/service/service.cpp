@@ -120,7 +120,6 @@ QueryTicket QueryService::submit(const std::string& analyst,
     throw;
   }
 
-  job->total_tasks = job->prepared->total_tasks();
   job->slots.resize(job->prepared->phase_count());
   for (std::size_t phase = 0; phase < job->prepared->phase_count(); ++phase) {
     job->slots[phase].resize(job->prepared->task_count(phase));

@@ -127,7 +127,7 @@ Executable counting_exe() {
 }
 
 // Blocks every invocation until the shared gate opens — lets a test hold
-// the dispatcher mid-round while it cancels / shuts down around it.
+// a participant mid-task while it cancels / shuts down around it.
 Executable gated_exe(std::shared_future<void> gate) {
   return [gate](const ChunkView& view) {
     gate.wait();
@@ -574,28 +574,47 @@ TEST(FaultSites, FlightLeaderRepeatedCrashFailsCleanlyWithoutCache) {
   EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
 }
 
-TEST(FaultSites, PoolTaskFaultFailsTheRoundWithExactlyOnceRefund) {
-  // A worker dying before it even picks up the task escapes parallel_for
-  // wholesale; the scheduler must fail every job in the round and settle
-  // each exactly once — no wedged wait(), no double refund.
-  Privid sys = make_system();
-  auto& service = sys.configure_service(service_config(4, CacheMode::kOff));
-  const std::string pristine = ledger_bytes(sys, "camA");
+TEST(FaultSites, PoolTaskFaultLosesNoTaskAndChargesOnce) {
+  // A participant lost to pool.task dies before it pulls anything, so no
+  // task is lost: the surviving participants finish the busy period, or
+  // the dispatcher itself does when every participant is lost. The query
+  // completes byte-identical to a fault-free run and is charged once.
+  std::vector<Release> baseline;
   {
-    PlanGuard guard("pool.task:once1");
-    QueryTicket t = service.submit("alice", probe_query("camA"));
-    EXPECT_THROW(service.wait(t), FaultInjectedError);
-    EXPECT_EQ(service.poll(t), QueryState::kFailed);
+    Privid sys = make_system();
+    auto& service = sys.configure_service(service_config(4, CacheMode::kOff));
+    baseline = service.wait(service.submit("alice", probe_query("camA")))
+                   .releases;
   }
-  EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
-  // The pool and dispatcher survived: later queries run normally.
-  QueryResult r = service.wait(service.submit("alice", probe_query("camA")));
-  EXPECT_EQ(r.releases.size(), 1u);
-  service.drain();
-  auto s = service.stats();
-  EXPECT_EQ(s.submitted, 2u);
-  EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.failed, 1u);
+  // once1 loses one participant; every1 loses all four.
+  for (const auto& [spec, lost] :
+       {std::pair<const char*, std::uint64_t>{"pool.task:once1", 1},
+        {"pool.task:every1", 4}}) {
+    SCOPED_TRACE(spec);
+    // A fresh service, so this query opens its first busy period.
+    Privid sys = make_system();
+    auto& service = sys.configure_service(service_config(4, CacheMode::kOff));
+    {
+      PlanGuard guard(spec);
+      QueryResult r =
+          service.wait(service.submit("alice", probe_query("camA")));
+      expect_releases_identical(r.releases, baseline);
+      EXPECT_EQ(fault::Injector::global().site_stats().at("pool.task").fired,
+                lost);
+    }
+    EXPECT_EQ(ledger_bytes(sys, "camA"), charged_ledger("camA", 1));
+    // The pool and dispatcher survived: later queries run normally.
+    QueryResult r = service.wait(service.submit("bob", probe_query("camB")));
+    EXPECT_EQ(r.releases.size(), 1u);
+    service.drain();
+    auto s = service.stats();
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(s.scheduler.tasks_run, 40u);
+    EXPECT_EQ(s.scheduler.tasks_dropped, 0u);
+    EXPECT_EQ(s.scheduler.queries_settled, 2u);
+  }
 }
 
 TEST(FaultSites, SchedDispatchFaultFailsOnlyTheStruckQuery) {
@@ -770,10 +789,9 @@ TEST(FaultShutdown, BoundedShutdownAbandonsQueuedQueriesWithFullRefund) {
   auto& service = sys.configure_service(cfg);
   const std::string pristine_b = ledger_bytes(sys, "camB");
 
-  // A's single task blocks the dispatcher mid-round; B and C queue behind
-  // it and the grace period expires long before the gate opens. A round
-  // holds 4 tasks at one thread, so at most 3 of B's 20 can share A's
-  // round: both B and C still have queued work to abandon.
+  // A's single task blocks the only participant; B and C queue behind it
+  // and the grace period expires long before the gate opens, so both
+  // still have queued work to abandon.
   QueryTicket a = service.submit("alice", gate_query());
   QueryTicket b = service.submit("bob", probe_query("camB"));
   QueryTicket c = service.submit("bob", probe_query("camB"));
@@ -822,8 +840,8 @@ TEST(FaultCancel, UserCancelDropsQueuedWorkAndRefunds) {
       sys.configure_service(service_config(1, CacheMode::kOff));
   const std::string pristine_b = ledger_bytes(sys, "camB");
 
-  // A blocks the dispatcher; none of B's tasks has run when the cancel
-  // lands (any that share A's round are skipped when their turn comes).
+  // A blocks the only participant; none of B's tasks has run when the
+  // cancel lands, so each is dropped when its turn comes.
   QueryTicket a = service.submit("alice", gate_query());
   QueryTicket b = service.submit("bob", probe_query("camB"));
   EXPECT_TRUE(service.cancel(b));

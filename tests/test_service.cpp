@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -482,6 +483,41 @@ TEST(ServiceBudgetRace, TwoAnalystsRacingForLastEpsilonSerialize) {
   }
 }
 
+// ------------------------------------------------------ pull scheduling
+
+TEST(ServiceScheduler, LongTaskDoesNotHoldAnotherAnalystsQuery) {
+  // Alice's one task runs until released (at most 5 s). There is no
+  // barrier between tasks, so Bob's 20 run on the other participant and
+  // his query settles while hers is still running.
+  if (ThreadPool::resolve_threads(0) < 2) {
+    GTEST_SKIP() << "the facade's pool has no worker on one hardware thread";
+  }
+  auto released = std::make_shared<std::atomic<bool>>(false);
+  Privid sys = make_system();
+  sys.register_executable("hold", [released](const ChunkView&) {
+    for (int i = 0; i < 500 && !released->load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ExecOutput out;
+    out.rows.push_back({Value(1.0)});
+    out.simulated_runtime = 0.1;
+    return out;
+  });
+  auto& service =
+      sys.configure_service(service_config(2, engine::CacheMode::kOff));
+  QueryTicket alice = service.submit(
+      "alice",
+      "SPLIT camA BEGIN 0 END 5 BY TIME 5 STRIDE 0 INTO c;"
+      "PROCESS c USING hold TIMEOUT 1 PRODUCING 1 ROWS "
+      "WITH SCHEMA (n:NUMBER=0) INTO t;"
+      "SELECT COUNT(*) FROM t;");
+  QueryTicket bob = service.submit("bob", probe_query("camB"));
+  EXPECT_EQ(service.wait(bob).releases.size(), 1u);
+  EXPECT_NE(service.poll(alice), QueryState::kDone);
+  released->store(true);
+  EXPECT_EQ(service.wait(alice).releases.size(), 1u);
+}
+
 // ------------------------------------------------------------- lifecycle
 
 TEST(ServiceQuery, TicketPollAndRepeatedWait) {
@@ -524,7 +560,7 @@ TEST(ServiceQuery, AccountingTracksSubmissionsAndCommittedEpsilon) {
   service.register_analyst("alice", 2.0);
   service.wait(service.submit("alice", probe_query("camA")));
   service.wait(service.submit("alice", probe_query("camB")));
-  // wait() returns at settle; counters land in the dispatcher's round
+  // wait() returns at settle; counters land in the settling participant's
   // accounting just after — drain() synchronizes with that.
   service.drain();
   AnalystStats stats = service.analyst_stats("alice");
