@@ -6,10 +6,11 @@
 // one heap-backed `Detection` struct per object and one `KalmanBox` per
 // track into contiguous SoA columns consumed by dense kernels
 // (cv/kernels.hpp), with a reusable FrameArena so a steady-state frame
-// allocates nothing. Both pipelines are in the library (the scalar one as
-// cv/scalar_tracker.hpp + Detector::detect), run here over the same
-// deterministic detector tape, so the comparison is live, not a number
-// in a file.
+// allocates nothing. The library ships only the batch pipeline; the
+// scalar one survives as the test-only oracle this bench links
+// (tests/cv_oracle/: scalar_detect + ScalarTracker). Both run here over
+// the same deterministic detector tape, so the comparison is live, not a
+// number in a file.
 //
 // In-binary gates (exit non-zero on failure):
 //   - batch pipeline throughput >= 2x the scalar reference (the
@@ -25,8 +26,9 @@
 #include <vector>
 
 #include "cv/detector.hpp"
-#include "cv/scalar_tracker.hpp"
 #include "cv/tracker.hpp"
+#include "cv_oracle/scalar_detector.hpp"
+#include "cv_oracle/scalar_tracker.hpp"
 #include "sim/scene.hpp"
 #include "sim/trajectory.hpp"
 
@@ -134,11 +136,10 @@ int main() {
   // the bench's cheap cross-check that it measured the same work).
   std::size_t scalar_tracks = 0, batch_tracks = 0;
   Measured scalar_m = measure([&] {
-    cv::Detector d(det_cfg, kSeed);
     cv::ScalarTracker trk(trk_cfg);
     for (int f = 0; f < kBenchFrames; ++f) {
       Seconds t = scene.meta().time_of(f);
-      trk.step(t, d.detect(scene, t, f, nullptr));
+      trk.step(t, cv::scalar_detect(det_cfg, kSeed, scene, t, f, nullptr));
     }
     scalar_tracks = trk.all_tracks().size();
   });

@@ -1,17 +1,14 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the Privid
 // pipeline — Laplace sampling, budget ledger operations, sensitivity
-// computation, relational operators, detector + tracker steps, chunking.
+// computation, relational operators, chunking.
 #include <benchmark/benchmark.h>
 
 #include "common/interval_map.hpp"
 #include "common/rng.hpp"
-#include "cv/detector.hpp"
-#include "cv/tracker.hpp"
 #include "privacy/budget.hpp"
 #include "privacy/laplace.hpp"
 #include "query/parser.hpp"
 #include "sensitivity/rules.hpp"
-#include "sim/scenarios.hpp"
 #include "table/aggregate.hpp"
 #include "table/column.hpp"
 #include "table/ops.hpp"
@@ -184,37 +181,5 @@ static void BM_StringDictIntern(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4000);
 }
 BENCHMARK(BM_StringDictIntern);
-
-static void BM_DetectorFrame(benchmark::State& state) {
-  auto scenario = sim::make_campus(9, 1.0, 1.0);
-  cv::Detector det(cv::DetectorConfig{}, 4);
-  double t = 6 * 3600.0 + 1800;
-  FrameIndex f = scenario.scene.meta().frame_at(t);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(det.detect(scenario.scene, t, f));
-  }
-}
-BENCHMARK(BM_DetectorFrame);
-
-static void BM_TrackerStep(benchmark::State& state) {
-  auto scenario = sim::make_campus(9, 1.0, 1.0);
-  cv::Detector det(cv::DetectorConfig{}, 4);
-  double t0 = 6 * 3600.0 + 1800;
-  // Pre-compute 100 frames of detections.
-  std::vector<std::vector<cv::Detection>> frames;
-  for (int i = 0; i < 100; ++i) {
-    double t = t0 + i * 0.1;
-    frames.push_back(
-        det.detect(scenario.scene, t, scenario.scene.meta().frame_at(t)));
-  }
-  for (auto _ : state) {
-    cv::Tracker tracker(cv::TrackerConfig::sort(20, 2, 0.1));
-    for (int i = 0; i < 100; ++i) {
-      tracker.step(t0 + i * 0.1, frames[static_cast<std::size_t>(i)]);
-    }
-    benchmark::DoNotOptimize(tracker.take_tracks());
-  }
-}
-BENCHMARK(BM_TrackerStep);
 
 BENCHMARK_MAIN();

@@ -72,7 +72,7 @@ engine::Executable sampling_counter(std::shared_ptr<std::atomic<long>> n) {
     det.false_positives_per_frame = 0;
     double seen = 0;
     for (Seconds t = view.time().begin; t < view.time().end; t += 0.5) {
-      seen += static_cast<double>(view.detect(det, t).size());
+      seen += static_cast<double>(view.detect_into(det, t).size());
     }
     out.rows.push_back({Value(seen)});
     out.simulated_runtime = 0.1;

@@ -71,7 +71,7 @@ engine::Executable sampling_counter() {
     det.false_positives_per_frame = 0;
     double seen = 0;
     for (Seconds t = view.time().begin; t < view.time().end; t += 30.0) {
-      seen += static_cast<double>(view.detect(det, t).size());
+      seen += static_cast<double>(view.detect_into(det, t).size());
     }
     out.rows.push_back({Value(seen)});
     out.simulated_runtime = 0.1;

@@ -77,7 +77,7 @@ engine::Executable people_counter(std::shared_ptr<std::atomic<int>> tally) {
     det.false_positives_per_frame = 0;
     double mid = view.time().begin + view.time().duration() / 2;
     out.rows.push_back(
-        {Value(static_cast<double>(view.detect(det, mid).size()))});
+        {Value(static_cast<double>(view.detect_into(det, mid).size()))});
     out.simulated_runtime = 0.1;
     return out;
   };

@@ -131,31 +131,4 @@ void DetectionBatch::filter_rows(const std::vector<char>& keep) {
   feat_.resize(out * stride_);
 }
 
-void DetectionBatch::assign(const std::vector<Detection>& dets) {
-  clear();
-  reserve(dets.size());
-  for (const auto& d : dets) {
-    std::size_t i = push(d.box, d.cls, d.confidence, d.truth_id,
-                         d.feature.size(), intern(d.plate), intern(d.color));
-    std::copy(d.feature.begin(), d.feature.end(), feature_row(i));
-  }
-}
-
-std::vector<Detection> DetectionBatch::to_detections() const {
-  std::vector<Detection> out;
-  out.reserve(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    Detection d;
-    d.box = box(i);
-    d.cls = cls_[i];
-    d.confidence = conf_[i];
-    d.truth_id = truth_[i];
-    d.feature.assign(feature_row(i), feature_row(i) + feat_len_[i]);
-    d.plate = symbol_or_empty(plate_[i]);
-    d.color = symbol_or_empty(color_[i]);
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 }  // namespace privid::cv

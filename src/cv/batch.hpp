@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cv/detection.hpp"
 #include "sim/entity.hpp"
 #include "video/video.hpp"
 
@@ -101,11 +100,6 @@ class DetectionBatch {
 
   // Keeps only the rows for which keep[i] != 0, preserving order.
   void filter_rows(const std::vector<char>& keep);
-
-  // AoS conversions — the compatibility bridge for tests and the retained
-  // scalar reference path.
-  void assign(const std::vector<Detection>& dets);
-  std::vector<Detection> to_detections() const;
 
  private:
   void grow_stride(std::size_t stride);

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cv/batch.hpp"
-#include "cv/detection.hpp"
 #include "sim/scene.hpp"
 #include "video/mask.hpp"
 
@@ -42,22 +40,17 @@ class Detector {
 
   const DetectorConfig& config() const { return cfg_; }
 
-  // Detections at time t. `frame` must be the frame index of t in the
-  // scene's video (drives the deterministic noise). Mask may be null.
-  //
-  // This AoS overload is the retained scalar reference: the batch path
-  // below replicates its random draw order and floating-point expression
-  // trees exactly, and tests/test_cv_batch.cpp byte-compares the two.
-  std::vector<Detection> detect(const sim::Scene& scene, Seconds t,
-                                FrameIndex frame,
-                                const Mask* mask = nullptr) const;
-
-  // Batch path: emits the frame's detections straight into `arena.batch`
-  // (SoA columns, plates/colours interned) with no per-detection heap
+  // Detections at time t, emitted straight into `arena.batch` (SoA
+  // columns, plates/colours interned) with no per-detection heap
   // allocation; NMS runs over the batch arrays through the arena's
-  // staging buffers. Returns arena.batch. The arena is reusable — after a
-  // few frames its buffers reach steady-state capacity and a call
-  // allocates nothing.
+  // staging buffers. `frame` must be the frame index of t in the scene's
+  // video (drives the deterministic noise). Mask may be null. Returns
+  // arena.batch. The arena is reusable — after a few frames its buffers
+  // reach steady-state capacity and a call allocates nothing.
+  //
+  // The random draw order and floating-point expression trees match the
+  // AoS-era scalar reference (tests/cv_oracle/scalar_detector.hpp), and
+  // tests/test_cv_batch.cpp byte-compares the two.
   const DetectionBatch& detect_into(const sim::Scene& scene, Seconds t,
                                     FrameIndex frame, const Mask* mask,
                                     FrameArena& arena) const;

@@ -13,44 +13,16 @@
 
 namespace privid::cv {
 
-class KalmanBox {
- public:
-  // Initializes from a first detection at time t0.
-  KalmanBox(const Box& b, Seconds t0, double process_noise = 8.0,
-            double measurement_noise = 4.0);
-
-  // Advances the state to time t (predict step).
-  void predict(Seconds t);
-  // Incorporates a measurement at time t (predicts first if needed).
-  void update(const Box& b, Seconds t);
-
-  // Current estimate as a box.
-  Box state_box() const;
-  double cx() const { return x_[0]; }
-  double cy() const { return x_[1]; }
-  double vx() const { return x_[2]; }
-  double vy() const { return x_[3]; }
-  Seconds last_time() const { return t_; }
-  // Position uncertainty (trace of the position covariance block).
-  double position_variance() const { return p_[0][0] + p_[1][1]; }
-
- private:
-  double x_[4];      // state: cx, cy, vx, vy
-  double p_[4][4];   // covariance
-  double w_, h_;     // smoothed size
-  Seconds t_;
-  double q_, r_;     // process / measurement noise intensity
-};
-
-// SoA bank of constant-velocity Kalman filters — one row per track,
-// replacing one `KalmanBox` object per track in the batch tracker.
+// SoA bank of constant-velocity Kalman filters, one row per track.
 //
 // Bit-exactness contract: every expression (predict, update, state_box,
-// initial covariance) is copied verbatim from KalmanBox, and the covariance
-// is stored as the three unique per-axis terms {P[p][p], P[p][v], P[v][v]}
-// that KalmanBox's symmetric block updates actually read and write. The
-// equivalence suite in tests/test_cv_batch.cpp byte-compares a bank row
-// against a KalmanBox driven with the same measurement sequence.
+// initial covariance) is copied verbatim from the AoS-era per-track
+// `KalmanBox`, now a test-only oracle (tests/cv_oracle/kalman_box.hpp).
+// The covariance is stored as the three unique per-axis terms
+// {P[p][p], P[p][v], P[v][v]} that KalmanBox's symmetric 4x4 block
+// updates actually read and write. The equivalence suite in
+// tests/test_cv_batch.cpp byte-compares a bank row against a KalmanBox
+// driven with the same measurement sequence.
 class KalmanBank {
  public:
   explicit KalmanBank(double process_noise = 8.0,

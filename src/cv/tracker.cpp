@@ -117,11 +117,6 @@ void Tracker::finalize_dead(std::size_t ti) {
   finished_.push_back(std::move(rec));
 }
 
-void Tracker::step(Seconds t, const std::vector<Detection>& detections) {
-  compat_.assign(detections);
-  step(t, compat_);
-}
-
 void Tracker::step(Seconds t, const DetectionBatch& dets) {
   if (started_ && t <= last_t_) {
     throw ArgumentError("tracker frames must be fed in increasing time order");

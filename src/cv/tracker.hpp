@@ -11,11 +11,11 @@
 // matrix as one dense kernel sweep over contiguous arrays, hoists the
 // squared feature norms per row, and evaluates cosine distances lazily
 // for motion-gated pairs only (cv/kernels.hpp); every kernel is bit-exact
-// with the retained scalar reference (cv/scalar_tracker.hpp), so tracks
-// are byte-identical to the AoS era's. All association scratch is owned
-// by the tracker and reused —
-// in steady state (no track births or deaths) a step performs zero heap
-// allocations (gated by bench_cv_plane).
+// with the AoS-era scalar reference, which lives on as a test-only oracle
+// (tests/cv_oracle/scalar_tracker.hpp), so tracks are byte-identical to
+// the AoS era's. All association scratch is owned by the tracker and
+// reused — in steady state (no track births or deaths) a step performs
+// zero heap allocations (gated by bench_cv_plane).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cv/batch.hpp"
-#include "cv/detection.hpp"
 #include "cv/kalman.hpp"
 
 namespace privid::cv {
@@ -82,10 +81,6 @@ class Tracker {
   // Processes the detections of one frame at time t. Frames must be fed in
   // strictly increasing time order; a non-increasing t throws.
   void step(Seconds t, const DetectionBatch& detections);
-  // Compatibility bridge: packs an AoS detection list into an internal
-  // batch and runs the batch path (so every caller exercises one code
-  // path, whichever container it holds).
-  void step(Seconds t, const std::vector<Detection>& detections);
 
   // The single consumption point for track output: every confirmed track,
   // dead ones first (in death order, with their EWMA appearance as
@@ -156,7 +151,6 @@ class Tracker {
   std::vector<double> tnorm_, dnorm_;      // squared feature norms
   std::vector<Cand> cands_;
   std::vector<char> track_used_, det_used_, keep_;
-  DetectionBatch compat_;  // backing store for the AoS step() overload
 };
 
 }  // namespace privid::cv

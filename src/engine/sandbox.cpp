@@ -30,28 +30,11 @@ void ChunkView::check_inside(Seconds t) const {
   }
 }
 
-std::vector<cv::Detection> ChunkView::detect(const cv::DetectorConfig& model,
-                                             Seconds t) const {
-  check_inside(t);
-  if (!content_->scene) {
-    throw ArgumentError("detect() on a non-visual camera");
-  }
-  cv::Detector detector(model, content_->seed);
-  FrameIndex frame = meta_->frame_at(t);
-  auto dets = detector.detect(*content_->scene, t, frame, mask_);
-  if (region_) {
-    std::erase_if(dets, [&](const cv::Detection& d) {
-      return !region_->extent.contains(d.box.cx(), d.box.cy());
-    });
-  }
-  return dets;
-}
-
 const cv::DetectionBatch& ChunkView::detect_into(
     const cv::DetectorConfig& model, Seconds t) const {
   check_inside(t);
   if (!content_->scene) {
-    throw ArgumentError("detect() on a non-visual camera");
+    throw ArgumentError("detect_into() on a non-visual camera");
   }
   cv::Detector detector(model, content_->seed);
   FrameIndex frame = meta_->frame_at(t);

@@ -26,7 +26,6 @@
 #include "common/rng.hpp"
 #include "common/timeutil.hpp"
 #include "cv/batch.hpp"
-#include "cv/detection.hpp"
 #include "cv/detector.hpp"
 #include "sim/porto.hpp"
 #include "sim/scene.hpp"
@@ -61,11 +60,7 @@ class ChunkView {
 
   // Runs the analyst's detector model over the frame at time t. The mask
   // and region restriction are applied *before* the model sees anything.
-  // Throws ArgumentError if t is outside the chunk (isolation).
-  std::vector<cv::Detection> detect(const cv::DetectorConfig& model,
-                                    Seconds t) const;
-
-  // Batch path of detect(): same model/mask/region semantics, but the
+  // Throws ArgumentError if t is outside the chunk (isolation). The
   // detections land in this view's reusable FrameArena as SoA columns —
   // zero heap allocation per frame once the arena warms up. The returned
   // batch is valid until the next detect_into() call on this view.

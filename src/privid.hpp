@@ -46,7 +46,6 @@
 
 // Synthetic CV stack.
 #include "cv/batch.hpp"
-#include "cv/detection.hpp"
 #include "cv/detector.hpp"
 #include "cv/kalman.hpp"
 #include "cv/kernels.hpp"

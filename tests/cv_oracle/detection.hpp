@@ -1,12 +1,16 @@
-// A single detection: what an object detector emits for one frame.
+// A single detection as the AoS-era detector emitted it, one heap-backed
+// struct per object: the scalar oracle's frame type. The library carries
+// detections as cv::DetectionBatch columns.
 //
 // `truth_id` is ground-truth provenance used only by the evaluation harness
 // (to score trackers); analyst code must not rely on it, mirroring how a
 // real detector has no access to identity.
 #pragma once
 
+#include <string>
 #include <vector>
 
+#include "cv/batch.hpp"
 #include "sim/entity.hpp"
 #include "video/video.hpp"
 
@@ -23,5 +27,10 @@ struct Detection {
   std::string color;
   sim::EntityId truth_id = -1;   // -1 for false positives
 };
+
+// Packs an AoS detection list into `out` (cleared first; its symbol table
+// is kept, so plate/colour codes stay stable across frames), one row per
+// detection in list order.
+void pack_detections(const std::vector<Detection>& dets, DetectionBatch& out);
 
 }  // namespace privid::cv

@@ -1,6 +1,6 @@
 // The AoS-era tracker, verbatim — see scalar_tracker.hpp for why this
 // exists and why it must not be modernized.
-#include "cv/scalar_tracker.hpp"
+#include "cv_oracle/scalar_tracker.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -3,12 +3,13 @@
 //
 // This is the pre-DetectionBatch `Tracker` implementation — one KalmanBox
 // object per track, `std::vector<Detection>` in, per-pair cosine distances
-// recomputed from scratch — kept so that (a) the equivalence suite in
-// tests/test_cv_batch.cpp can byte-compare the batch tracker's output
-// against it, and (b) bench_cv_plane can measure the >= 2x speedup gate
-// against a live baseline instead of a number in a file. It shares
-// TrackerConfig / TrackRecord with the batch tracker so both consume the
-// same configuration.
+// recomputed from scratch — kept out of the library, in this test-only
+// target, so that (a) the equivalence suite in tests/test_cv_batch.cpp
+// can byte-compare the batch tracker's output against it, and (b)
+// bench_cv_plane can measure the >= 2x speedup gate against a live
+// baseline instead of a number in a file. It shares TrackerConfig /
+// TrackRecord with the batch tracker so both consume the same
+// configuration.
 //
 // Do not "optimize" this file: its value is being the unchanged original.
 #pragma once
@@ -16,9 +17,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "cv/detection.hpp"
-#include "cv/kalman.hpp"
 #include "cv/tracker.hpp"
+#include "cv_oracle/detection.hpp"
+#include "cv_oracle/kalman_box.hpp"
 
 namespace privid::cv {
 

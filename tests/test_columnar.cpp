@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "counting_exe.hpp"
 #include "engine/chunk_cache.hpp"
 #include "engine/privid.hpp"
 #include "engine/relexec.hpp"
@@ -59,21 +60,7 @@ std::shared_ptr<sim::Scene> staircase_scene(int n) {
   return s;
 }
 
-Executable counting_exe() {
-  return [](const ChunkView& view) {
-    ExecOutput out;
-    cv::DetectorConfig det;
-    det.base_detect_prob = 0.98;
-    det.false_positives_per_frame = 0;
-    double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value(1.0)});
-    }
-    out.simulated_runtime = 0.1;
-    return out;
-  };
-}
+using testutil::counting_exe;
 
 Executable parity_exe() {
   return [](const ChunkView& view) {

@@ -2,9 +2,12 @@
 // persistence estimation, tuning harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
+#include "cv/batch.hpp"
 #include "cv/detector.hpp"
 #include "cv/kalman.hpp"
 #include "cv/persistence.hpp"
@@ -40,12 +43,13 @@ sim::Scene crossing_scene(int n_entities = 3) {
 TEST(Detector, DeterministicPerFrame) {
   auto scene = crossing_scene();
   Detector d(DetectorConfig{}, 99);
-  auto a = d.detect(scene, 20.0, 200);
-  auto b = d.detect(scene, 20.0, 200);
+  FrameArena arena_a, arena_b;
+  const DetectionBatch& a = d.detect_into(scene, 20.0, 200, nullptr, arena_a);
+  const DetectionBatch& b = d.detect_into(scene, 20.0, 200, nullptr, arena_b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].truth_id, b[i].truth_id);
-    EXPECT_DOUBLE_EQ(a[i].box.x, b[i].box.x);
+    EXPECT_EQ(a.truth_id(i), b.truth_id(i));
+    EXPECT_DOUBLE_EQ(a.box(i).x, b.box(i).x);
   }
 }
 
@@ -67,12 +71,14 @@ TEST(Detector, MissesSomeFrames) {
   DetectorConfig cfg;
   cfg.base_detect_prob = 0.5;
   Detector d(cfg, 7);
+  FrameArena arena;
   int detected = 0, frames = 0;
   for (double t = 6; t < 44; t += 0.1) {
     ++frames;
-    auto dets = d.detect(scene, t, scene.meta().frame_at(t));
-    for (const auto& det : dets) {
-      if (det.truth_id == 1) {
+    const DetectionBatch& dets =
+        d.detect_into(scene, t, scene.meta().frame_at(t), nullptr, arena);
+    for (std::size_t i = 0; i < dets.size(); ++i) {
+      if (dets.truth_id(i) == 1) {
         ++detected;
         break;
       }
@@ -88,9 +94,13 @@ TEST(Detector, MaskSuppressesDetections) {
   Detector d(DetectorConfig{}, 7);
   Mask mask(1280, 720, 64, 36);
   mask.mask_box(Box{0, 0, 1280, 720});  // everything
+  FrameArena arena;
   for (double t = 6; t < 44; t += 1.0) {
-    auto dets = d.detect(scene, t, scene.meta().frame_at(t), &mask);
-    for (const auto& det : dets) EXPECT_EQ(det.truth_id, -1);
+    const DetectionBatch& dets =
+        d.detect_into(scene, t, scene.meta().frame_at(t), &mask, arena);
+    for (std::size_t i = 0; i < dets.size(); ++i) {
+      EXPECT_EQ(dets.truth_id(i), -1);
+    }
   }
 }
 
@@ -110,12 +120,15 @@ TEST(Detector, CarriesAttributes) {
   DetectorConfig cfg;
   cfg.base_detect_prob = 0.98;
   Detector d(cfg, 3);
+  FrameArena arena;
   bool saw = false;
   for (double t = 1; t < 50 && !saw; t += 1) {
-    for (const auto& det : d.detect(s, t, s.meta().frame_at(t))) {
-      if (det.truth_id == 5) {
-        EXPECT_EQ(det.plate, "ABC-123");
-        EXPECT_EQ(det.color, "RED");
+    const DetectionBatch& dets =
+        d.detect_into(s, t, s.meta().frame_at(t), nullptr, arena);
+    for (std::size_t i = 0; i < dets.size(); ++i) {
+      if (dets.truth_id(i) == 5) {
+        EXPECT_EQ(dets.symbol_or_empty(dets.plate_codes()[i]), "ABC-123");
+        EXPECT_EQ(dets.symbol_or_empty(dets.color_codes()[i]), "RED");
         saw = true;
       }
     }
@@ -150,9 +163,11 @@ TEST(Detector, NmsSuppressesOverlappingObjects) {
   cfg.false_positives_per_frame = 0;
   cfg.box_jitter_px = 0.5;
   Detector d(cfg, 5);
+  FrameArena arena;
   int doubles = 0, frames = 0;
   for (double t = 1; t < 50; t += 1) {
-    auto dets = d.detect(s, t, s.meta().frame_at(t));
+    const DetectionBatch& dets =
+        d.detect_into(s, t, s.meta().frame_at(t), nullptr, arena);
     ++frames;
     if (dets.size() > 1) ++doubles;
   }
@@ -177,9 +192,11 @@ TEST(Detector, NmsDisabledKeepsBoth) {
   cfg.false_positives_per_frame = 0;
   cfg.nms_iou = 2.0;  // disabled
   Detector d(cfg, 5);
+  FrameArena arena;
   bool saw_both = false;
   for (double t = 1; t < 50 && !saw_both; t += 1) {
-    saw_both = d.detect(s, t, s.meta().frame_at(t)).size() == 2;
+    saw_both =
+        d.detect_into(s, t, s.meta().frame_at(t), nullptr, arena).size() == 2;
   }
   EXPECT_TRUE(saw_both);
 }
@@ -203,55 +220,68 @@ TEST(Tracker, FastSmallObjectStaysOneTrack) {
   cfg.base_detect_prob = 0.55;  // misses ~half the frames
   cfg.false_positives_per_frame = 0;
   Detector det(cfg, 9);
+  FrameArena arena;
   Tracker tr(TrackerConfig::sort(20, 2, 0.1));
   for (double t = 0; t < 20; t += 0.1) {
-    tr.step(t, det.detect(s, t, s.meta().frame_at(t)));
+    tr.step(t, det.detect_into(s, t, s.meta().frame_at(t), nullptr, arena));
   }
   EXPECT_LE(tr.take_tracks().size(), 2u);
 }
 
 // -------------------------------------------------------------- Kalman
 
+// Each test drives row 0 of a one-row bank.
+
 TEST(Kalman, ConvergesToConstantVelocity) {
   Box b0{100, 100, 20, 20};
-  KalmanBox kf(b0, 0.0);
+  KalmanBank kf;
+  const std::size_t row = kf.add(b0, 0.0);
   // Feed measurements moving +10 px/s in x.
   for (int i = 1; i <= 30; ++i) {
     double t = i * 0.1;
-    kf.update(Box{100 + 10 * t, 100, 20, 20}, t);
+    kf.update(row, Box{100 + 10 * t, 100, 20, 20}, t);
   }
-  EXPECT_NEAR(kf.vx(), 10.0, 2.0);
-  EXPECT_NEAR(kf.vy(), 0.0, 1.0);
+  EXPECT_NEAR(kf.vx(row), 10.0, 2.0);
+  EXPECT_NEAR(kf.vy(row), 0.0, 1.0);
   // Prediction extrapolates: last measurement centre was 110 + 10*3 = 140,
   // one more second at ~10 px/s puts it near 150.
-  kf.predict(4.0);
-  EXPECT_NEAR(kf.cx(), 150.0, 10.0);
+  kf.predict(row, 4.0);
+  EXPECT_NEAR(kf.cx(row), 150.0, 10.0);
 }
 
 TEST(Kalman, UpdateReducesUncertainty) {
-  KalmanBox kf(Box{0, 0, 10, 10}, 0.0);
-  double before = kf.position_variance();
-  kf.update(Box{0, 0, 10, 10}, 0.1);
-  EXPECT_LT(kf.position_variance(), before);
+  KalmanBank kf;
+  const std::size_t row = kf.add(Box{0, 0, 10, 10}, 0.0);
+  double before = kf.position_variance(row);
+  kf.update(row, Box{0, 0, 10, 10}, 0.1);
+  EXPECT_LT(kf.position_variance(row), before);
 }
 
 TEST(Kalman, StateBoxTracksSize) {
-  KalmanBox kf(Box{0, 0, 10, 10}, 0.0);
+  KalmanBank kf;
+  const std::size_t row = kf.add(Box{0, 0, 10, 10}, 0.0);
   for (int i = 1; i <= 20; ++i) {
-    kf.update(Box{0, 0, 30, 30}, i * 0.1);
+    kf.update(row, Box{0, 0, 30, 30}, i * 0.1);
   }
-  EXPECT_NEAR(kf.state_box().w, 30.0, 2.0);
+  EXPECT_NEAR(kf.state_box(row).w, 30.0, 2.0);
 }
 
 // ------------------------------------------------------------- Tracker
 
-std::vector<Detection> det_at(double x, double y, int truth,
-                              std::vector<double> feat = {}) {
-  Detection d;
-  d.box = Box{x, y, 40, 80};
-  d.truth_id = truth;
-  d.feature = feat.empty() ? std::vector<double>{1, 0, 0, 0} : feat;
-  return {d};
+// Appends one 40x80 detection at (x, y) to a frame.
+void add_det(DetectionBatch& frame, double x, double y, int truth,
+             const std::vector<double>& feat = {1, 0, 0, 0}) {
+  std::size_t row = frame.push(Box{x, y, 40, 80}, sim::EntityClass::kPerson,
+                               1.0, truth, feat.size());
+  std::copy(feat.begin(), feat.end(), frame.feature_row(row));
+}
+
+// A frame holding one detection at (x, y).
+DetectionBatch det_at(double x, double y, int truth,
+                      const std::vector<double>& feat = {1, 0, 0, 0}) {
+  DetectionBatch frame;
+  add_det(frame, x, y, truth, feat);
+  return frame;
 }
 
 TEST(Tracker, SingleTrackLifecycle) {
@@ -278,7 +308,7 @@ TEST(Tracker, SurvivesMissedFrames) {
   Tracker tr(TrackerConfig::sort(10, 2, 0.1));
   for (int i = 0; i < 30; ++i) {
     if (i % 3 == 2) {
-      tr.step(i * 0.1, std::vector<Detection>{});  // missed detection
+      tr.step(i * 0.1, DetectionBatch{});  // missed detection
     } else {
       tr.step(i * 0.1, det_at(100 + i * 2.0, 100, 1));
     }
@@ -291,7 +321,7 @@ TEST(Tracker, FragmentsWhenMaxAgeSmall) {
   Tracker tr(TrackerConfig::sort(1, 1, 0.1));
   for (int i = 0; i < 40; ++i) {
     if (i % 8 > 3) {
-      tr.step(i * 0.1, std::vector<Detection>{});  // 4-frame gaps exceed max_age 1
+      tr.step(i * 0.1, DetectionBatch{});  // 4-frame gaps exceed max_age 1
     } else {
       tr.step(i * 0.1, det_at(100 + i * 2.0, 100, 1));
     }
@@ -302,10 +332,9 @@ TEST(Tracker, FragmentsWhenMaxAgeSmall) {
 TEST(Tracker, SeparatesDistantObjects) {
   Tracker tr(TrackerConfig::sort(5, 2, 0.1));
   for (int i = 0; i < 20; ++i) {
-    auto a = det_at(100 + i * 2.0, 100, 1);
-    auto b = det_at(100 + i * 2.0, 500, 2);
-    a.push_back(b[0]);
-    tr.step(i * 0.1, a);
+    DetectionBatch frame = det_at(100 + i * 2.0, 100, 1);
+    add_det(frame, 100 + i * 2.0, 500, 2);
+    tr.step(i * 0.1, frame);
   }
   auto tracks = tr.take_tracks();
   ASSERT_EQ(tracks.size(), 2u);
@@ -322,10 +351,9 @@ TEST(Tracker, AppearanceGateBlocksMismatchedFeatures) {
   Tracker tr(cfg);
   std::vector<double> fa{1, 0, 0, 0}, fb{0, 1, 0, 0};
   for (int i = 0; i < 20; ++i) {
-    auto a = det_at(100 + i * 10.0, 100, 1, fa);
-    auto b = det_at(300 - i * 10.0, 100, 2, fb);
-    a.push_back(b[0]);
-    tr.step(i * 0.1, a);
+    DetectionBatch frame = det_at(100 + i * 10.0, 100, 1, fa);
+    add_det(frame, 300 - i * 10.0, 100, 2, fb);
+    tr.step(i * 0.1, frame);
   }
   auto tracks = tr.take_tracks();
   std::size_t switches = 0;
@@ -337,9 +365,9 @@ TEST(Tracker, AppearanceGateBlocksMismatchedFeatures) {
 
 TEST(Tracker, RejectsOutOfOrderFrames) {
   Tracker tr(TrackerConfig{});
-  tr.step(1.0, std::vector<Detection>{});
-  EXPECT_THROW(tr.step(0.5, std::vector<Detection>{}), ArgumentError);
-  EXPECT_THROW(tr.step(1.0, std::vector<Detection>{}), ArgumentError);
+  tr.step(1.0, DetectionBatch{});
+  EXPECT_THROW(tr.step(0.5, DetectionBatch{}), ArgumentError);
+  EXPECT_THROW(tr.step(1.0, DetectionBatch{}), ArgumentError);
   EXPECT_THROW(Tracker(TrackerConfig::sort(0, 1, 0.1)), ArgumentError);
 }
 

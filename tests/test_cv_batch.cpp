@@ -7,9 +7,10 @@
 //      against the scalar routine it replaced, over randomized inputs,
 //      including runs inside a ThreadPool at {1, 4, hw} threads (the
 //      kernels are called concurrently from PROCESS workers).
-//   2. CvBatchTracker — the batch Tracker vs the retained ScalarTracker
-//      over randomized detection streams: every TrackRecord field,
-//      doubles compared bitwise.
+//   2. CvBatchTracker — the batch Detector and Tracker vs the scalar
+//      oracle (tests/cv_oracle/: scalar_detect, ScalarTracker) over
+//      randomized detection streams and a dense scene: every detection
+//      and TrackRecord field, doubles compared bitwise.
 //   3. CvGolden / CvEngineGolden — the hexfloat goldens under
 //      tests/golden/cv_*.txt, captured from the AoS pipeline immediately
 //      before the rewrite; the batch pipeline must reproduce them byte
@@ -29,9 +30,12 @@
 #include "cv/detector.hpp"
 #include "cv/kalman.hpp"
 #include "cv/kernels.hpp"
-#include "cv/scalar_tracker.hpp"
 #include "cv/tracker.hpp"
 #include "cv_golden_util.hpp"
+#include "cv_oracle/detection.hpp"
+#include "cv_oracle/kalman_box.hpp"
+#include "cv_oracle/scalar_detector.hpp"
+#include "cv_oracle/scalar_tracker.hpp"
 
 using namespace privid;
 
@@ -405,10 +409,12 @@ void run_equivalence(const cv::TrackerConfig& cfg, std::uint64_t seed) {
   Rng rng(seed);
   cv::Tracker batch(cfg);
   cv::ScalarTracker scalar(cfg);
+  cv::DetectionBatch packed;
   for (int f = 0; f < 200; ++f) {
     double t = 0.1 * (f + 1);
     auto dets = random_frame(rng, t);
-    batch.step(t, dets);  // compat overload -> batch path
+    cv::pack_detections(dets, packed);
+    batch.step(t, packed);
     scalar.step(t, dets);
   }
   expect_records_equal(batch.take_tracks(), scalar.all_tracks());
@@ -424,36 +430,27 @@ TEST(CvBatchTracker, MatchesScalarTrackerDeepSortConfig) {
   run_equivalence(cv::TrackerConfig::deepsort(0.7, 0.1, 8, 3), 304);
 }
 
-TEST(CvBatchTracker, BatchOverloadMatchesCompatOverload) {
-  Rng rng(305);
-  cv::Tracker via_batch(cv::TrackerConfig::deepsort());
-  cv::Tracker via_aos(cv::TrackerConfig::deepsort());
-  cv::DetectionBatch packed;
-  for (int f = 0; f < 100; ++f) {
-    double t = 0.1 * (f + 1);
-    auto dets = random_frame(rng, t);
-    packed.assign(dets);
-    via_batch.step(t, packed);
-    via_aos.step(t, dets);
-  }
-  expect_records_equal(via_batch.take_tracks(), via_aos.take_tracks());
-}
-
-TEST(CvBatchTracker, DetectorBatchMatchesDetectorAoS) {
-  // detect_into must emit exactly what detect() emits (same RNG tape, same
-  // NMS order), and the tracker must treat both identically.
-  sim::Scene scene = testutil::dense_scene(16);
-  cv::DetectorConfig cfg;
-  cv::Detector detector(cfg, 23);
+// One leg of the detector comparison: over 300 frames of `scene`,
+// detect_into must emit exactly what the scalar oracle emits (same RNG
+// tape, same NMS order, same mask handling), and the batch tracker must
+// treat the result exactly as ScalarTracker does. Adds the leg's
+// detection count to `total`.
+void expect_detector_matches_oracle(const sim::Scene& scene,
+                                    const cv::DetectorConfig& cfg,
+                                    const Mask* mask, std::size_t& total) {
+  constexpr std::uint64_t kSeed = 23;
+  cv::Detector detector(cfg, kSeed);
   cv::Tracker from_batch(cv::TrackerConfig::deepsort());
   cv::ScalarTracker from_aos(cv::TrackerConfig::deepsort());
   cv::FrameArena arena;
   for (int f = 0; f < 300; ++f) {
     Seconds t = scene.meta().time_of(f);
     const cv::DetectionBatch& batch =
-        detector.detect_into(scene, t, f, nullptr, arena);
-    std::vector<cv::Detection> aos = detector.detect(scene, t, f, nullptr);
+        detector.detect_into(scene, t, f, mask, arena);
+    std::vector<cv::Detection> aos =
+        cv::scalar_detect(cfg, kSeed, scene, t, f, mask);
     ASSERT_EQ(batch.size(), aos.size()) << "frame " << f;
+    total += aos.size();
     for (std::size_t d = 0; d < aos.size(); ++d) {
       EXPECT_EQ(batch.box(d).x, aos[d].box.x);
       EXPECT_EQ(batch.box(d).y, aos[d].box.y);
@@ -472,6 +469,35 @@ TEST(CvBatchTracker, DetectorBatchMatchesDetectorAoS) {
     from_aos.step(t, aos);
   }
   expect_records_equal(from_batch.take_tracks(), from_aos.all_tracks());
+}
+
+TEST(CvBatchTracker, DetectorBatchMatchesDetectorAoS) {
+  // 40 entities: dense enough that default NMS suppresses a few pairs, so
+  // the NMS-disabled leg emits more than the default one.
+  sim::Scene scene = testutil::dense_scene(40);
+  cv::DetectorConfig defaults;
+  std::size_t plain = 0, masked = 0, unsuppressed = 0;
+  {
+    SCOPED_TRACE("defaults, no mask");
+    expect_detector_matches_oracle(scene, defaults, nullptr, plain);
+  }
+  {
+    // Hides the upper-right quarter: objects crossing its edge are partly
+    // visible, and false positives inside it are dropped.
+    SCOPED_TRACE("mask");
+    Mask mask(1280, 720, 64, 36);
+    mask.mask_box(Box{640, 0, 640, 360});
+    expect_detector_matches_oracle(scene, defaults, &mask, masked);
+  }
+  {
+    SCOPED_TRACE("NMS disabled");
+    cv::DetectorConfig no_nms;
+    no_nms.nms_iou = 2.0;
+    expect_detector_matches_oracle(scene, no_nms, nullptr, unsuppressed);
+  }
+  // Each extra leg must change what the detector emits.
+  EXPECT_LT(masked, plain);
+  EXPECT_GT(unsuppressed, plain);
 }
 
 // ------------------------------------------------------------- goldens

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "counting_exe.hpp"
 #include "engine/mask_registration.hpp"
 #include "engine/privid.hpp"
 #include "engine/standing.hpp"
@@ -41,23 +42,7 @@ std::shared_ptr<sim::Scene> staircase_scene(int n) {
   return s;
 }
 
-// Counts ground-truth entities visible at the chunk midpoint via a
-// high-recall detector (deterministic).
-Executable counting_exe() {
-  return [](const ChunkView& view) {
-    ExecOutput out;
-    cv::DetectorConfig det;
-    det.base_detect_prob = 0.98;
-    det.false_positives_per_frame = 0;
-    double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value(1.0)});
-    }
-    out.simulated_runtime = 0.1;
-    return out;
-  };
-}
+using testutil::counting_exe;
 
 Privid make_system(int n_people = 5, double rho = 10, int k = 1,
                    double budget = 100) {
@@ -191,9 +176,9 @@ TEST(ChunkView, IsolationRejectsOutsideObservation) {
   VideoMeta meta = scene->meta();
   ChunkView view(&content, &meta, 2, {10, 15}, {100, 150}, nullptr, nullptr);
   cv::DetectorConfig det;
-  EXPECT_NO_THROW(view.detect(det, 12.0));
-  EXPECT_THROW(view.detect(det, 9.0), ArgumentError);   // previous chunk
-  EXPECT_THROW(view.detect(det, 16.0), ArgumentError);  // next chunk
+  EXPECT_NO_THROW(view.detect_into(det, 12.0));
+  EXPECT_THROW(view.detect_into(det, 9.0), ArgumentError);   // previous chunk
+  EXPECT_THROW(view.detect_into(det, 16.0), ArgumentError);  // next chunk
   EXPECT_THROW(view.light_state(0, 20.0), ArgumentError);
 }
 
@@ -260,10 +245,8 @@ TEST(Executor, GroupByKeysEmitsAllDeclaredKeys) {
     det.base_detect_prob = 0.98;
     det.false_positives_per_frame = 0;
     double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value("blue")});
-    }
+    const std::size_t n = view.detect_into(det, mid).size();
+    for (std::size_t i = 0; i < n; ++i) out.rows.push_back({Value("blue")});
     return out;
   };
   sys.register_executable("colors", exe);

@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "counting_exe.hpp"
 #include "engine/privid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -72,21 +73,7 @@ std::shared_ptr<sim::Scene> staircase_scene(const std::string& camera_id,
   return s;
 }
 
-Executable counting_exe() {
-  return [](const ChunkView& view) {
-    ExecOutput out;
-    cv::DetectorConfig det;
-    det.base_detect_prob = 0.98;
-    det.false_positives_per_frame = 0;
-    double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value(1.0)});
-    }
-    out.simulated_runtime = 0.1;
-    return out;
-  };
-}
+using testutil::counting_exe;
 
 Privid make_system(std::uint64_t noise_seed = 7) {
   Privid sys(noise_seed);

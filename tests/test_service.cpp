@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "counting_exe.hpp"
 #include "engine/privid.hpp"
 #include "service/scheduler.hpp"
 #include "sim/scenarios.hpp"
@@ -67,21 +68,7 @@ std::shared_ptr<sim::Scene> staircase_scene(const std::string& camera_id,
   return s;
 }
 
-Executable counting_exe() {
-  return [](const ChunkView& view) {
-    ExecOutput out;
-    cv::DetectorConfig det;
-    det.base_detect_prob = 0.98;
-    det.false_positives_per_frame = 0;
-    double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value(1.0)});
-    }
-    out.simulated_runtime = 0.1;
-    return out;
-  };
-}
+using testutil::counting_exe;
 
 // Counts real sandbox invocations — the dedup tests assert N identical
 // concurrent queries trigger exactly one per chunk.

@@ -15,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "counting_exe.hpp"
 #include "engine/privid.hpp"
 #include "engine/standing.hpp"
 #include "fault/fault.hpp"
@@ -231,21 +232,7 @@ std::shared_ptr<sim::Scene> staircase_scene(int n) {
   return s;
 }
 
-Executable counting_exe() {
-  return [](const ChunkView& view) {
-    ExecOutput out;
-    cv::DetectorConfig det;
-    det.base_detect_prob = 0.98;
-    det.false_positives_per_frame = 0;
-    double mid = view.time().begin + view.time().duration() / 2;
-    for (const auto& d : view.detect(det, mid)) {
-      (void)d;
-      out.rows.push_back({Value(1.0)});
-    }
-    out.simulated_runtime = 0.1;
-    return out;
-  };
-}
+using testutil::counting_exe;
 
 Privid make_system(int n_people = 5, double budget = 100) {
   Privid sys(7);
