@@ -165,7 +165,10 @@ int main() {
   bench::print_obs_summary("extended");
   bench::print_rule();
 
-  auto stats = service.stats();
+  const obs::Snapshot stats = service.metrics();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(stats.counter_value(name));
+  };
   std::printf("cache mode:       %s (threads=%zu)\n", mode_name,
               opts.num_threads);
   std::printf("analysts/wave:    %d (identical window, %d chunks)\n",
@@ -178,14 +181,12 @@ int main() {
               extended.wall_seconds, extended.invocations, extended.raw_sum);
   std::printf("scheduler:        %llu tasks in %llu busy periods, "
               "%llu dropped\n",
-              static_cast<unsigned long long>(stats.scheduler.tasks_run),
-              static_cast<unsigned long long>(stats.scheduler.rounds),
-              static_cast<unsigned long long>(stats.scheduler.tasks_dropped));
+              count("sched.tasks_run"), count("sched.rounds"),
+              count("sched.tasks_dropped"));
   std::printf("dedup:            %llu leaders, %llu followers, "
               "%llu fallbacks\n",
-              static_cast<unsigned long long>(stats.dedup.leaders),
-              static_cast<unsigned long long>(stats.dedup.followers),
-              static_cast<unsigned long long>(stats.dedup.fallbacks));
+              count("dedup.leaders"), count("dedup.followers"),
+              count("dedup.fallbacks"));
 
   // Every analyst of every wave must compute the same raw aggregate.
   if (!cold.raw_agree || !warm.raw_agree || !extended.raw_agree ||

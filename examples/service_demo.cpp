@@ -138,8 +138,10 @@ void fair_share_scene() {
   service::QueryService::Config cfg;
   cfg.num_threads = 2;
   auto& service = sys.configure_service(cfg);
-  service.register_analyst("heavy", 4.0);
-  service.register_analyst("light", 1.0);
+  constexpr double kHeavy = 4.0;
+  constexpr double kLight = 1.0;
+  service.register_analyst("heavy", kHeavy);
+  service.register_analyst("light", kLight);
 
   std::vector<service::QueryTicket> tickets;
   for (int i = 0; i < 5; ++i) {
@@ -148,16 +150,19 @@ void fair_share_scene() {
   }
   for (auto& t : tickets) service.wait(t);
   service.drain();
-  auto heavy = service.analyst_stats("heavy");
-  auto light = service.analyst_stats("light");
-  std::printf("heavy (weight %.0f): %llu tasks served, %llu queries done\n",
-              heavy.weight, static_cast<unsigned long long>(heavy.tasks_served),
-              static_cast<unsigned long long>(heavy.completed));
-  std::printf("light (weight %.0f): %llu tasks served, %llu queries done\n",
-              light.weight, static_cast<unsigned long long>(light.tasks_served),
-              static_cast<unsigned long long>(light.completed));
+  auto report = [&](const char* id, double weight) {
+    const obs::Snapshot m = service.analyst_metrics(id);
+    std::printf("%s (weight %.0f): %llu tasks run, %llu queries done\n", id,
+                weight,
+                static_cast<unsigned long long>(
+                    m.counter_value("analyst.tasks_run")),
+                static_cast<unsigned long long>(
+                    m.counter_value("analyst.completed")));
+  };
+  report("heavy", kHeavy);
+  report("light", kLight);
   std::printf("(while both queues were backed up, tasks were interleaved "
-              "~%.0f:1)\n", heavy.weight / light.weight);
+              "~%.0f:1)\n", kHeavy / kLight);
 }
 
 void dedup_scene() {
@@ -178,14 +183,17 @@ void dedup_scene() {
   }
   for (auto& t : tickets) service.wait(t);
   service.drain();
-  auto stats = service.stats();
+  const obs::Snapshot stats = service.metrics();
   std::printf("4 identical queries x 20 chunks -> %d sandbox runs\n",
               tally->load());
   std::printf("scheduler ran %llu tasks; dedup: %llu leaders, "
               "%llu followers; cache hits this service: %llu\n",
-              static_cast<unsigned long long>(stats.scheduler.tasks_run),
-              static_cast<unsigned long long>(stats.dedup.leaders),
-              static_cast<unsigned long long>(stats.dedup.followers),
+              static_cast<unsigned long long>(
+                  stats.counter_value("sched.tasks_run")),
+              static_cast<unsigned long long>(
+                  stats.counter_value("dedup.leaders")),
+              static_cast<unsigned long long>(
+                  stats.counter_value("dedup.followers")),
               static_cast<unsigned long long>(sys.cache_stats().hits));
 }
 

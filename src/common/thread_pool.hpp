@@ -71,17 +71,10 @@ class ThreadPool {
   // threads" (at least 1), anything else is taken literally.
   static std::size_t resolve_threads(std::size_t requested);
 
-  // Introspection (obs gauges, racy-by-design point-in-time reads):
-  // indices of the current batch not yet claimed, and workers currently
-  // executing tasks (including a participating caller).
-  std::size_t queue_depth() const {
-    const std::int64_t v = g_queue_depth_->value();
-    return v > 0 ? static_cast<std::size_t>(v) : 0;
-  }
-  std::size_t active_workers() const {
-    const std::int64_t v = g_active_workers_->value();
-    return v > 0 ? static_cast<std::size_t>(v) : 0;
-  }
+  // pool.* metrics, among them the pool.queue_depth (indices of the
+  // current batch not yet claimed) and pool.active_workers (participants
+  // executing tasks, a participating caller included) gauges.
+  const obs::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct Batch {

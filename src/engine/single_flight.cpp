@@ -80,12 +80,4 @@ bool SingleFlight::run(const Fingerprint& key, const Compute& compute,
   return false;
 }
 
-SingleFlightStats SingleFlight::stats() const {
-  SingleFlightStats s;
-  s.leaders = c_leaders_->value();
-  s.followers = c_followers_->value();
-  s.fallbacks = c_fallbacks_->value();
-  return s;
-}
-
 }  // namespace privid::engine

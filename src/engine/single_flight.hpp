@@ -33,16 +33,6 @@
 
 namespace privid::engine {
 
-// Thin snapshot view over the dedup.* metrics — stats() reads the
-// instance's metric group, so these can never drift from a Registry
-// snapshot.
-struct SingleFlightStats {
-  std::uint64_t leaders = 0;     // calls that computed
-  std::uint64_t followers = 0;   // calls served by a concurrent leader
-  std::uint64_t fallbacks = 0;   // followers that recomputed after a
-                                 // leader failure
-};
-
 class SingleFlight {
  public:
   using Compute = std::function<ColumnSlab()>;
@@ -54,7 +44,10 @@ class SingleFlight {
   // callers with equal keys must accept each other's output.
   bool run(const Fingerprint& key, const Compute& compute, ColumnSlab* out);
 
-  SingleFlightStats stats() const;
+  // dedup.leaders (calls that computed), dedup.followers (calls served by
+  // a concurrent leader), dedup.fallbacks (followers that recomputed after
+  // a leader failure) and the dedup.wait histogram.
+  const obs::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct Flight {

@@ -276,7 +276,7 @@ std::size_t Registry::group_count() const {
   return groups_.size();
 }
 
-Snapshot Registry::snapshot() const {
+Snapshot snapshot_of(const std::vector<const MetricGroup*>& groups) {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, double> doubles;
@@ -288,24 +288,21 @@ Snapshot Registry::snapshot() const {
   };
   std::map<std::string, HistAccum> hists;
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const MetricGroup* g : groups_) {
-      std::lock_guard<std::mutex> glock(g->mu_);
-      for (const auto& [name, c] : g->counters_) counters[name] += c->value();
-      for (const auto& [name, gg] : g->gauges_) gauges[name] += gg->value();
-      for (const auto& [name, d] : g->doubles_) doubles[name] += d->value();
-      for (const auto& [name, h] : g->histograms_) {
-        auto& acc = hists[name];
-        if (acc.buckets.empty()) {
-          acc.buckets.assign(LatencyHistogram::kBuckets, 0);
-        }
-        auto bs = h->bucket_counts();
-        for (std::size_t i = 0; i < bs.size(); ++i) acc.buckets[i] += bs[i];
-        acc.count += h->count();
-        acc.sum += h->sum_ns();
-        acc.max = std::max(acc.max, h->max_ns());
+  for (const MetricGroup* g : groups) {
+    std::lock_guard<std::mutex> glock(g->mu_);
+    for (const auto& [name, c] : g->counters_) counters[name] += c->value();
+    for (const auto& [name, gg] : g->gauges_) gauges[name] += gg->value();
+    for (const auto& [name, d] : g->doubles_) doubles[name] += d->value();
+    for (const auto& [name, h] : g->histograms_) {
+      auto& acc = hists[name];
+      if (acc.buckets.empty()) {
+        acc.buckets.assign(LatencyHistogram::kBuckets, 0);
       }
+      auto bs = h->bucket_counts();
+      for (std::size_t i = 0; i < bs.size(); ++i) acc.buckets[i] += bs[i];
+      acc.count += h->count();
+      acc.sum += h->sum_ns();
+      acc.max = std::max(acc.max, h->max_ns());
     }
   }
 
@@ -337,6 +334,15 @@ Snapshot Registry::snapshot() const {
     snap.rows.push_back(std::move(row));
   }
   return snap;
+}
+
+Snapshot MetricGroup::snapshot() const { return snapshot_of({this}); }
+
+Snapshot Registry::snapshot() const {
+  // Held for the whole read: a group detaches under this lock before its
+  // owner destroys it.
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_of(groups_);
 }
 
 Registration::Registration(Registration&& other) noexcept

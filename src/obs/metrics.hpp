@@ -137,6 +137,14 @@ class LatencyHistogram {
   std::array<Stripe, detail::kStripes> stripes_;
 };
 
+struct Snapshot;
+class MetricGroup;
+
+// Aggregates `groups` into one Snapshot (see Snapshot below). The single
+// builder behind Registry::snapshot() and MetricGroup::snapshot(); the
+// caller keeps every group alive for the call.
+Snapshot snapshot_of(const std::vector<const MetricGroup*>& groups);
+
 // A component's named metrics. Components create their metrics once (in
 // their constructor) and keep the returned stable pointers for the hot
 // path; name lookup never happens per-event.
@@ -151,8 +159,11 @@ class MetricGroup {
   DoubleCounter* double_counter(const std::string& name);
   LatencyHistogram* histogram(const std::string& name);
 
+  // This group alone, read the way Registry::snapshot() reads it.
+  Snapshot snapshot() const;
+
  private:
-  friend class Registry;
+  friend Snapshot snapshot_of(const std::vector<const MetricGroup*>& groups);
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -96,21 +96,6 @@ bool QueryScheduler::cancel(const std::shared_ptr<QueryJob>& job,
       expected, static_cast<int>(reason), std::memory_order_acq_rel);
 }
 
-QueryScheduler::Stats QueryScheduler::stats() const {
-  Stats s;
-  s.tasks_run = c_tasks_run_->value();
-  s.tasks_dropped = c_tasks_dropped_->value();
-  s.rounds = c_rounds_->value();
-  s.queries_settled = c_settled_->value();
-  s.queries_cancelled = c_cancelled_->value();
-  return s;
-}
-
-std::map<std::string, std::uint64_t> QueryScheduler::served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.served();
-}
-
 void QueryScheduler::loop() {
   for (;;) {
     {
@@ -211,11 +196,11 @@ void QueryScheduler::retire(TaskRef& t) {
       job.failed.store(true, std::memory_order_release);
     }
     c_tasks_run_->add();
+    if (job.tasks_run) job.tasks_run->add();
   }
   // The last retire sees every sibling's slot write (acq_rel RMW chain).
   if (job.tasks_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   finalize(job);
-  c_settled_->add();
   std::lock_guard<std::mutex> lock(mu_);
   if (--unsettled_jobs_ == 0) idle_cv_.notify_all();
 }
@@ -225,8 +210,7 @@ void QueryScheduler::finalize(QueryJob& job) {
   if (span.active()) {
     span.tag("query", job.id).tag("analyst", job.analyst);
   }
-  bool ok = false;
-  bool cancelled = false;
+  QueryState settled = QueryState::kFailed;
   try {
     if (job.failed.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(job.error_mu);
@@ -236,7 +220,7 @@ void QueryScheduler::finalize(QueryJob& job) {
     // happened to the query); otherwise a won cancel settles it here.
     const int reason = job.cancel_reason.load(std::memory_order_acquire);
     if (reason != static_cast<int>(CancelReason::kNone)) {
-      cancelled = true;
+      settled = QueryState::kCancelled;
       const std::string who =
           "query " + std::to_string(job.id) + " (" + job.analyst + ")";
       if (reason == static_cast<int>(CancelReason::kShutdown)) {
@@ -254,7 +238,7 @@ void QueryScheduler::finalize(QueryJob& job) {
       job.result = std::move(result);
       job.state = QueryState::kDone;
     }
-    ok = true;
+    settled = QueryState::kDone;
   } catch (...) {
     // Exactly-once refund: Reservation settles on the first commit/refund
     // and ignores the rest, so neither a task error nor a finish()-time
@@ -265,19 +249,16 @@ void QueryScheduler::finalize(QueryJob& job) {
       job.reservation.refund();
     } catch (...) {
     }
-    {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.error = std::current_exception();
-      job.state = cancelled ? QueryState::kCancelled : QueryState::kFailed;
-    }
-    if (cancelled) c_cancelled_->add();
+    std::lock_guard<std::mutex> lock(job.mu);
+    job.error = std::current_exception();
+    job.state = settled;
   }
   if (span.active()) {
-    span.tag("ok", ok ? "true" : "false");
-    if (cancelled) span.tag("cancelled", "true");
+    span.tag("ok", settled == QueryState::kDone ? "true" : "false");
+    if (settled == QueryState::kCancelled) span.tag("cancelled", "true");
   }
   job.cv.notify_all();
-  if (on_settled_) on_settled_(job, ok);
+  if (on_settled_) on_settled_(job, settled);
 }
 
 }  // namespace privid::service

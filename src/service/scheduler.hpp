@@ -72,6 +72,9 @@ struct QueryJob {
   std::uint64_t id = 0;
   std::string analyst;
   std::uint64_t sequence = 0;  // per-analyst submission ordinal
+  // The analyst's analyst.tasks_run counter, bumped once per task run
+  // (null counts nothing).
+  obs::Counter* tasks_run = nullptr;
 
   // Execution state (task-owned after submit: each task writes only its
   // own slot; the reservation, rng and assembly belong to whichever task
@@ -139,7 +142,6 @@ class FairShareQueue {
     if (best == nullptr) return false;
     virtual_time_ = best->pass;
     best->pass += 1.0 / best->weight;
-    ++best->served;
     *out = std::move(best->tasks.front());
     best->tasks.pop_front();
     --size_;
@@ -149,19 +151,11 @@ class FairShareQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  // Tasks served per analyst since construction.
-  std::map<std::string, std::uint64_t> served() const {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [id, lane] : lanes_) out[id] = lane.served;
-    return out;
-  }
-
  private:
   struct Lane {
     std::deque<Task> tasks;
     double weight = 1.0;
     double pass = 0.0;
-    std::uint64_t served = 0;
   };
   std::map<std::string, Lane> lanes_;
   double virtual_time_ = 0.0;
@@ -170,22 +164,10 @@ class FairShareQueue {
 
 class QueryScheduler {
  public:
-  // Thin snapshot view over the sched.* metrics (stats() materializes it
-  // from the instance's metric group).
-  struct Stats {
-    std::uint64_t tasks_run = 0;      // tasks actually executed
-    std::uint64_t tasks_dropped = 0;  // skipped when pulled because their
-                                      // job already failed or was
-                                      // cancelled
-    std::uint64_t rounds = 0;         // busy periods (one pool batch each)
-    std::uint64_t queries_settled = 0;
-    std::uint64_t queries_cancelled = 0;  // subset settled kCancelled
-  };
-
   // Called on the participant that retires a job's last task when the job
-  // settles (kDone / kFailed / kCancelled), after its reservation
-  // committed or refunded.
-  using SettleCallback = std::function<void(QueryJob&, bool ok)>;
+  // settles, with the state it settled in (kDone / kFailed / kCancelled),
+  // after its reservation committed (kDone) or refunded.
+  using SettleCallback = std::function<void(QueryJob&, QueryState settled)>;
 
   // `pool` (non-owning, may be null for sequential execution) hosts each
   // busy period; `threads` is the number of participants pulling tasks.
@@ -232,8 +214,11 @@ class QueryScheduler {
   // task needs process isolation — ROADMAP's sharded execution item.)
   void shutdown();
 
-  Stats stats() const;
-  std::map<std::string, std::uint64_t> served() const;
+  // sched.tasks_run (tasks executed), sched.tasks_dropped (skipped when
+  // pulled because their job already failed or was cancelled),
+  // sched.rounds (busy periods, one pool batch each), the
+  // sched.queued_tasks gauge and the sched.queue_wait histogram.
+  const obs::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct TaskRef {
@@ -274,8 +259,6 @@ class QueryScheduler {
   obs::Counter* c_tasks_run_ = metrics_.counter("sched.tasks_run");
   obs::Counter* c_tasks_dropped_ = metrics_.counter("sched.tasks_dropped");
   obs::Counter* c_rounds_ = metrics_.counter("sched.rounds");
-  obs::Counter* c_settled_ = metrics_.counter("sched.queries_settled");
-  obs::Counter* c_cancelled_ = metrics_.counter("sched.queries_cancelled");
   obs::Gauge* g_queued_ = metrics_.gauge("sched.queued_tasks");
   obs::LatencyHistogram* h_queue_wait_ =
       metrics_.histogram("sched.queue_wait");

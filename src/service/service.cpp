@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -39,24 +40,15 @@ QueryService::QueryService(std::map<std::string, engine::CameraState>* cameras,
   }
   scheduler_ = std::make_unique<QueryScheduler>(
       pool_, threads, &owner_mu_,
-      [this](QueryJob& job, bool ok) {
+      [this](QueryJob& job, QueryState settled) {
         AnalystSession& session = sessions_.get_or_create(job.analyst);
-        if (ok) {
-          // ok means finalize committed the reservation.
+        if (settled == QueryState::kDone) {
+          // kDone means finalize committed the reservation.
           session.record_completed(job.reservation.total_epsilon());
-          c_completed_->add();
-          return;
-        }
-        session.record_failed();
-        bool cancelled = false;
-        {
-          std::lock_guard<std::mutex> lock(job.mu);
-          cancelled = job.state == QueryState::kCancelled;
-        }
-        if (cancelled) {
-          c_cancelled_->add();
+        } else if (settled == QueryState::kCancelled) {
+          session.record_cancelled();
         } else {
-          c_failed_->add();
+          session.record_failed();
         }
       },
       config.shutdown_grace_ms);
@@ -96,6 +88,7 @@ QueryTicket QueryService::submit(const std::string& analyst,
   auto job = std::make_shared<QueryJob>();
   job->analyst = analyst;
   job->sequence = session.next_sequence();
+  job->tasks_run = session.tasks_run_counter();
   job->parsed = std::move(q);
   // The query's private noise stream: a pure function of (service seed,
   // analyst, submission ordinal) — independent of concurrent load.
@@ -115,7 +108,6 @@ QueryTicket QueryService::submit(const std::string& analyst,
     job->reservation = admission_->reserve(*job->prepared);
   } catch (const BudgetError&) {
     session.record_rejected();
-    c_rejected_->add();
     if (span.active()) span.tag("outcome", "rejected");
     throw;
   }
@@ -130,7 +122,6 @@ QueryTicket QueryService::submit(const std::string& analyst,
     std::lock_guard<std::mutex> lock(id_mu_);
     job->id = next_query_id_++;
   }
-  c_submitted_->add();
   if (span.active()) span.tag("query", job->id).tag("outcome", "admitted");
   scheduler_->set_weight(analyst, session.weight());
   scheduler_->submit(job);
@@ -165,26 +156,18 @@ void QueryService::drain() { scheduler_->drain(); }
 
 void QueryService::shutdown() { scheduler_->shutdown(); }
 
-QueryService::Stats QueryService::stats() const {
-  Stats out;
-  out.submitted = c_submitted_->value();
-  out.completed = c_completed_->value();
-  out.failed = c_failed_->value();
-  out.cancelled = c_cancelled_->value();
-  out.rejected = c_rejected_->value();
-  out.scheduler = scheduler_->stats();
-  out.dedup = inflight_.stats();
-  return out;
+obs::Snapshot QueryService::metrics() const {
+  std::vector<const obs::MetricGroup*> groups = sessions_.metric_groups();
+  groups.push_back(&metrics_);
+  groups.push_back(&scheduler_->metrics());
+  groups.push_back(&inflight_.metrics());
+  return obs::snapshot_of(groups);
 }
 
-AnalystStats QueryService::analyst_stats(const std::string& id) const {
+obs::Snapshot QueryService::analyst_metrics(const std::string& id) const {
   const AnalystSession* session = sessions_.find(id);
   if (!session) throw LookupError("unknown analyst '" + id + "'");
-  AnalystStats out = session->stats();
-  auto served = scheduler_->served();
-  auto it = served.find(id);
-  if (it != served.end()) out.tasks_served = it->second;
-  return out;
+  return session->metrics().snapshot();
 }
 
 }  // namespace privid::service

@@ -130,22 +130,14 @@ class QueryService {
   // ones as kCancelled with a full refund. Subsequent submits throw.
   void shutdown();
 
-  // Thin snapshot view over the service.* metrics (and the scheduler's /
-  // single-flight's own views) — stats() reads the metric groups, so the
-  // struct cannot drift from a Registry snapshot.
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;     // settled with an error (not cancelled)
-    std::uint64_t cancelled = 0;  // settled kCancelled (user/shutdown),
-                                  // refunded
-    std::uint64_t rejected = 0;
-    QueryScheduler::Stats scheduler;
-    engine::SingleFlightStats dedup;
-  };
-  Stats stats() const;
-  // Per-analyst accounting (throws LookupError for unknown analysts).
-  AnalystStats analyst_stats(const std::string& id) const;
+  // This service's metrics as one snapshot: the service.submit histogram,
+  // the scheduler's sched.*, the single-flight's dedup.* and every
+  // session's analyst.* group. Same-named metrics sum, so analyst.* reads
+  // as service-wide totals (docs/OBSERVABILITY.md has the catalog).
+  obs::Snapshot metrics() const;
+  // One analyst's analyst.* counters (throws LookupError for an analyst
+  // the service has never seen).
+  obs::Snapshot analyst_metrics(const std::string& id) const;
 
   // Held shared while queries execute; owner-side mutations (mask
   // registration, re-tuning, budget restore) must hold it exclusively so
@@ -171,14 +163,9 @@ class QueryService {
   mutable std::mutex id_mu_;
   std::uint64_t next_query_id_ = 1;
 
-  // service.* metrics; registration declared after the group so it
-  // detaches first.
+  // service.* metrics (query outcomes are counted per analyst, in the
+  // sessions); registration declared after the group so it detaches first.
   obs::MetricGroup metrics_;
-  obs::Counter* c_submitted_ = metrics_.counter("service.submitted");
-  obs::Counter* c_completed_ = metrics_.counter("service.completed");
-  obs::Counter* c_failed_ = metrics_.counter("service.failed");
-  obs::Counter* c_cancelled_ = metrics_.counter("service.cancelled");
-  obs::Counter* c_rejected_ = metrics_.counter("service.rejected");
   obs::LatencyHistogram* h_submit_ = metrics_.histogram("service.submit");
   obs::Registration registration_ =
       obs::Registry::global().attach(&metrics_);

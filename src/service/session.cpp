@@ -46,19 +46,7 @@ void AnalystSession::record_completed(double epsilon_committed) {
 
 void AnalystSession::record_failed() { c_failed_->add(); }
 
-AnalystStats AnalystSession::stats() const {
-  AnalystStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.weight = weight_;
-  }
-  out.submitted = c_accepted_->value();
-  out.completed = c_completed_->value();
-  out.failed = c_failed_->value();
-  out.rejected = c_rejected_->value();
-  out.epsilon_committed = d_epsilon_->value();
-  return out;
-}
+void AnalystSession::record_cancelled() { c_cancelled_->add(); }
 
 SessionRegistry::SessionRegistry(std::uint64_t service_seed)
     : service_seed_(service_seed) {}
@@ -90,11 +78,11 @@ const AnalystSession* SessionRegistry::find(const std::string& id) const {
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> SessionRegistry::analysts() const {
+std::vector<const obs::MetricGroup*> SessionRegistry::metric_groups() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
+  std::vector<const obs::MetricGroup*> out;
   out.reserve(sessions_.size());
-  for (const auto& [id, s] : sessions_) out.push_back(id);
+  for (const auto& [id, s] : sessions_) out.push_back(&s->metrics());
   return out;
 }
 

@@ -27,19 +27,6 @@
 
 namespace privid::service {
 
-// Thin snapshot view over the session's analyst.* metrics — stats()
-// materializes it from the per-session metric group.
-struct AnalystStats {
-  double weight = 1.0;
-  std::uint64_t submitted = 0;   // queries accepted by submit()
-  std::uint64_t completed = 0;   // reached kDone
-  std::uint64_t failed = 0;      // reached kFailed (reservation refunded)
-  std::uint64_t rejected = 0;    // denied at admission (BudgetError)
-  double epsilon_committed = 0;  // total ε of committed reservations
-  std::uint64_t tasks_served = 0;  // chunk tasks the scheduler ran for this
-                                   // analyst (filled from scheduler counters)
-};
-
 class AnalystSession {
  public:
   AnalystSession(std::string id, double weight, std::uint64_t seed);
@@ -60,8 +47,12 @@ class AnalystSession {
   void record_rejected();
   void record_completed(double epsilon_committed);
   void record_failed();
+  void record_cancelled();
+  // Bumped by the scheduler participant that runs one of this analyst's
+  // tasks (QueryJob keeps the pointer); dropped tasks are not counted.
+  obs::Counter* tasks_run_counter() { return c_tasks_run_; }
 
-  AnalystStats stats() const;
+  const obs::MetricGroup& metrics() const { return metrics_; }
 
  private:
   const std::string id_;
@@ -70,14 +61,16 @@ class AnalystSession {
   double weight_;
   std::uint64_t next_sequence_ = 0;
 
-  // analyst.* metrics (aggregated across sessions in a Registry snapshot;
-  // each session reads its own group for per-analyst stats). Registration
-  // declared after the group so it detaches first.
+  // analyst.* metrics, one counter per settle outcome (aggregated across
+  // sessions in a Registry snapshot, which makes them the service-wide
+  // totals). Registration declared after the group so it detaches first.
   obs::MetricGroup metrics_;
   obs::Counter* c_accepted_ = metrics_.counter("analyst.submitted");
   obs::Counter* c_completed_ = metrics_.counter("analyst.completed");
   obs::Counter* c_failed_ = metrics_.counter("analyst.failed");
+  obs::Counter* c_cancelled_ = metrics_.counter("analyst.cancelled");
   obs::Counter* c_rejected_ = metrics_.counter("analyst.rejected");
+  obs::Counter* c_tasks_run_ = metrics_.counter("analyst.tasks_run");
   obs::DoubleCounter* d_epsilon_ =
       metrics_.double_counter("analyst.epsilon_committed");
   obs::Registration registration_ =
@@ -99,7 +92,9 @@ class SessionRegistry {
   // Null when the analyst has never been seen.
   const AnalystSession* find(const std::string& id) const;
 
-  std::vector<std::string> analysts() const;
+  // Every session's analyst.* group. The pointers stay valid for the
+  // registry's lifetime: sessions are never removed.
+  std::vector<const obs::MetricGroup*> metric_groups() const;
 
  private:
   const std::uint64_t service_seed_;

@@ -27,6 +27,7 @@
 #include "fault/fault.hpp"
 #include "service/service.hpp"
 #include "sim/scenarios.hpp"
+#include "snapshot_reads.hpp"
 
 namespace privid {
 namespace {
@@ -414,8 +415,11 @@ TEST(FaultSites, SandboxExecExhaustedRetriesFailCleanlyAndRefundOnce) {
   QueryResult r = service.wait(service.submit("alice", probe_query("camA")));
   EXPECT_EQ(r.releases.size(), 1u);
   service.drain();
-  auto s = service.stats();
-  EXPECT_EQ(s.submitted, s.completed + s.failed + s.cancelled);
+  const obs::Snapshot s = service.metrics();
+  EXPECT_EQ(counter_at(s, "analyst.submitted"),
+            counter_at(s, "analyst.completed") +
+                counter_at(s, "analyst.failed") +
+                counter_at(s, "analyst.cancelled"));
 }
 
 TEST(Facade, ExecuteRefundsItsReservationWhenRetriesExhaust) {
@@ -594,13 +598,13 @@ TEST(FaultSites, PoolTaskFaultLosesNoTaskAndChargesOnce) {
     QueryResult r = service.wait(service.submit("bob", probe_query("camB")));
     EXPECT_EQ(r.releases.size(), 1u);
     service.drain();
-    auto s = service.stats();
-    EXPECT_EQ(s.submitted, 2u);
-    EXPECT_EQ(s.completed, 2u);
-    EXPECT_EQ(s.failed, 0u);
-    EXPECT_EQ(s.scheduler.tasks_run, 40u);
-    EXPECT_EQ(s.scheduler.tasks_dropped, 0u);
-    EXPECT_EQ(s.scheduler.queries_settled, 2u);
+    const obs::Snapshot s = service.metrics();
+    EXPECT_EQ(counter_at(s, "analyst.submitted"), 2u);
+    EXPECT_EQ(counter_at(s, "analyst.completed"), 2u);
+    EXPECT_EQ(counter_at(s, "analyst.failed"), 0u);
+    EXPECT_EQ(counter_at(s, "analyst.cancelled"), 0u);
+    EXPECT_EQ(counter_at(s, "sched.tasks_run"), 40u);
+    EXPECT_EQ(counter_at(s, "sched.tasks_dropped"), 0u);
   }
 }
 
@@ -628,11 +632,13 @@ TEST(FaultSites, SchedDispatchFaultFailsOnlyTheStruckQuery) {
   EXPECT_EQ(ledger_bytes(sys, "camA"), pristine_a);
   EXPECT_EQ(ledger_bytes(sys, "camB"), charged_ledger("camB", 1));
   service.drain();
-  auto s = service.stats();
-  EXPECT_EQ(s.submitted, 2u);
-  EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.cancelled, 0u);
+  const obs::Snapshot s = service.metrics();
+  EXPECT_EQ(counter_at(s, "analyst.submitted"), 2u);
+  EXPECT_EQ(counter_at(s, "analyst.completed"), 1u);
+  EXPECT_EQ(counter_at(s, "analyst.failed"), 1u);
+  EXPECT_EQ(counter_at(s, "analyst.cancelled"), 0u);
+  EXPECT_EQ(counter_at(service.analyst_metrics("alice"), "analyst.failed"),
+            1u);
 }
 
 // ------------------------------------------------------- circuit breaker
@@ -798,9 +804,10 @@ TEST(FaultShutdown, BoundedShutdownAbandonsQueuedQueriesWithFullRefund) {
   EXPECT_THROW(service.wait(b), CancelledError);
   EXPECT_THROW(service.wait(c), CancelledError);
   EXPECT_EQ(ledger_bytes(sys, "camB"), pristine_b);
-  auto s = service.stats();
-  EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.cancelled, 2u);
+  const obs::Snapshot s = service.metrics();
+  EXPECT_EQ(counter_at(s, "analyst.completed"), 1u);
+  EXPECT_EQ(counter_at(s, "analyst.cancelled"), 2u);
+  EXPECT_EQ(counter_at(s, "analyst.failed"), 0u);
 
   // Expected camA charge: the same one-chunk query run to completion.
   std::promise<void> open_now;
@@ -842,9 +849,17 @@ TEST(FaultCancel, UserCancelDropsQueuedWorkAndRefunds) {
   EXPECT_FALSE(service.cancel(b));
   EXPECT_FALSE(service.cancel(a));
   service.drain();
-  auto s = service.stats();
-  EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.cancelled, 1u);
+  const obs::Snapshot s = service.metrics();
+  EXPECT_EQ(counter_at(s, "analyst.completed"), 1u);
+  EXPECT_EQ(counter_at(s, "analyst.cancelled"), 1u);
+  EXPECT_EQ(counter_at(s, "analyst.failed"), 0u);
+  // The cancellation is bob's alone, counted as a cancellation and not a
+  // failure, and none of his 20 dropped tasks counts as run.
+  const obs::Snapshot bob = service.analyst_metrics("bob");
+  EXPECT_EQ(counter_at(bob, "analyst.failed"), 0u);
+  EXPECT_EQ(counter_at(bob, "analyst.cancelled"), 1u);
+  EXPECT_EQ(counter_at(bob, "analyst.tasks_run"), 0u);
+  EXPECT_EQ(counter_at(s, "sched.tasks_dropped"), 20u);
 }
 
 // ----------------------------------------------------- chaos equivalence

@@ -20,6 +20,7 @@
 #include "engine/privid.hpp"
 #include "service/scheduler.hpp"
 #include "sim/scenarios.hpp"
+#include "snapshot_reads.hpp"
 
 namespace privid::service {
 namespace {
@@ -160,9 +161,6 @@ TEST(ServiceFairShare, StrideOrderRespectsWeights) {
   while (q.pop(&task)) order.push_back(task < 100 ? "a" : "b");
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "b", "a", "b", "b",
                                              "a", "b", "b"}));
-  auto served = q.served();
-  EXPECT_EQ(served["a"], 3u);
-  EXPECT_EQ(served["b"], 6u);
 }
 
 TEST(ServiceFairShare, EqualWeightsAlternate) {
@@ -212,8 +210,9 @@ TEST(ServiceAdmission, RejectionLeavesLedgersByteIdentical) {
   const std::string before = ledger_bytes(sys, "camA");
   EXPECT_THROW(service.submit("alice", probe_query("camA")), BudgetError);
   EXPECT_EQ(ledger_bytes(sys, "camA"), before);
-  EXPECT_EQ(service.analyst_stats("alice").rejected, 1u);
-  EXPECT_EQ(service.stats().rejected, 1u);
+  const obs::Snapshot alice = service.analyst_metrics("alice");
+  EXPECT_EQ(counter_at(alice, "analyst.rejected"), 1u);
+  EXPECT_EQ(counter_at(alice, "analyst.submitted"), 0u);
 }
 
 TEST(ServiceAdmission, MultiSelectQueriesReserveCumulatively) {
@@ -273,7 +272,8 @@ TEST(ServiceRefund, SandboxCrashRefundsReservationExactlyOnce) {
   // show a spent segment here).
   EXPECT_EQ(ledger_bytes(sys, "camA"), pristine);
   service.drain();  // settle accounting (wait() returns at notify)
-  EXPECT_EQ(service.analyst_stats("alice").failed, 1u);
+  EXPECT_EQ(counter_at(service.analyst_metrics("alice"), "analyst.failed"),
+            1u);
 
   // The refunded budget is genuinely usable again.
   QueryResult r = service.wait(service.submit("alice", probe_query("camA")));
@@ -413,10 +413,10 @@ TEST(ServiceDedup, ConcurrentIdenticalQueriesComputeEachChunkOnce) {
     ASSERT_EQ(results[i].releases.size(), results[0].releases.size());
   }
   service.drain();  // settle scheduler counters before asserting on them
-  auto stats = service.stats();
-  EXPECT_EQ(stats.scheduler.tasks_run,
+  const obs::Snapshot stats = service.metrics();
+  EXPECT_EQ(counter_at(stats, "sched.tasks_run"),
             static_cast<std::uint64_t>(kAnalysts) * kChunks);
-  EXPECT_EQ(stats.dedup.fallbacks, 0u);
+  EXPECT_EQ(counter_at(stats, "dedup.fallbacks"), 0u);
 }
 
 TEST(ServiceDedup, CacheOffStillDedupsOnlyConcurrentWork) {
@@ -550,19 +550,28 @@ TEST(ServiceQuery, AccountingTracksSubmissionsAndCommittedEpsilon) {
   // wait() returns at settle; counters land in the settling participant's
   // accounting just after — drain() synchronizes with that.
   service.drain();
-  AnalystStats stats = service.analyst_stats("alice");
-  EXPECT_EQ(stats.weight, 2.0);
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_DOUBLE_EQ(stats.epsilon_committed, 2.0);  // 1.0 per probe
-  EXPECT_EQ(stats.tasks_served, 40u);              // 20 chunks per probe
-  EXPECT_THROW(service.analyst_stats("nobody"), LookupError);
+  const obs::Snapshot alice = service.analyst_metrics("alice");
+  EXPECT_EQ(counter_at(alice, "analyst.submitted"), 2u);
+  EXPECT_EQ(counter_at(alice, "analyst.completed"), 2u);
+  EXPECT_EQ(counter_at(alice, "analyst.failed"), 0u);
+  EXPECT_EQ(counter_at(alice, "analyst.cancelled"), 0u);
+  // 1.0 ε and 20 chunk tasks per probe.
+  EXPECT_DOUBLE_EQ(double_at(alice, "analyst.epsilon_committed"), 2.0);
+  EXPECT_EQ(counter_at(alice, "analyst.tasks_run"), 40u);
+  EXPECT_THROW(service.analyst_metrics("nobody"), LookupError);
 
-  auto svc = service.stats();
-  EXPECT_EQ(svc.submitted, 2u);
-  EXPECT_EQ(svc.completed, 2u);
-  EXPECT_EQ(svc.scheduler.tasks_run, 40u);
+  const obs::Snapshot svc = service.metrics();
+  EXPECT_EQ(counter_at(svc, "analyst.submitted"), 2u);
+  EXPECT_EQ(counter_at(svc, "analyst.completed"), 2u);
+  EXPECT_EQ(counter_at(svc, "sched.tasks_run"), 40u);
+  // Each outcome has one counter: no group registers a service-level copy.
+  const obs::Snapshot all = obs::Registry::global().snapshot();
+  for (const char* gone :
+       {"service.submitted", "service.completed", "service.failed",
+        "service.cancelled", "service.rejected", "sched.queries_settled",
+        "sched.queries_cancelled"}) {
+    for (const auto& [name, value] : all.counters) EXPECT_NE(name, gone);
+  }
 }
 
 TEST(ServiceQuery, ManyAnalystsManyQueriesAllSettle) {
@@ -578,13 +587,15 @@ TEST(ServiceQuery, ManyAnalystsManyQueriesAllSettle) {
   }
   for (auto& t : tickets) service.wait(t);
   service.drain();
-  auto stats = service.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.failed, 0u);
-  auto heavy = service.analyst_stats("heavy");
-  auto light = service.analyst_stats("light");
-  EXPECT_EQ(heavy.tasks_served + light.tasks_served,
-            stats.scheduler.tasks_run + stats.scheduler.tasks_dropped);
+  const obs::Snapshot stats = service.metrics();
+  EXPECT_EQ(counter_at(stats, "analyst.completed"), 8u);
+  EXPECT_EQ(counter_at(stats, "analyst.failed"), 0u);
+  EXPECT_EQ(counter_at(stats, "sched.tasks_dropped"), 0u);
+  // Every task run is counted once, on the analyst it ran for.
+  const std::uint64_t run_for_analysts =
+      counter_at(service.analyst_metrics("heavy"), "analyst.tasks_run") +
+      counter_at(service.analyst_metrics("light"), "analyst.tasks_run");
+  EXPECT_EQ(run_for_analysts, counter_at(stats, "sched.tasks_run"));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "counting_exe.hpp"
 #include "engine/privid.hpp"
 #include "engine/standing.hpp"
+#include "snapshot_reads.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenarios.hpp"
@@ -120,19 +121,15 @@ TEST(ThreadPool, LowestIndexRethrowSpansMorsels) {
 TEST(ThreadPool, GaugesAndItemCountSettleOnReturn) {
   ThreadPool pool(3);
   constexpr std::size_t kN = 50000;
-  const std::uint64_t items_before =
-      obs::Registry::global().snapshot().counter_value("pool.items");
   std::atomic<std::size_t> ran{0};
   pool.parallel_for(kN, [&](std::size_t) {
     ran.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(ran.load(), kN);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  EXPECT_EQ(pool.active_workers(), 0u);
-  const obs::Snapshot after = obs::Registry::global().snapshot();
-  EXPECT_EQ(after.counter_value("pool.items") - items_before, kN);
-  EXPECT_EQ(after.gauge_value("pool.queue_depth"), 0);
-  EXPECT_EQ(after.gauge_value("pool.active_workers"), 0);
+  const obs::Snapshot after = pool.metrics().snapshot();
+  EXPECT_EQ(counter_at(after, "pool.items"), kN);
+  EXPECT_EQ(gauge_at(after, "pool.queue_depth"), 0);
+  EXPECT_EQ(gauge_at(after, "pool.active_workers"), 0);
 }
 
 TEST(ThreadPool, TaskFaultPlanFailsEveryNthIndex) {
