@@ -7,7 +7,9 @@
 //
 //   1. append throughput (rows/s) through the validating cell API,
 //   2. filter + group-by + SUM scan throughput (rows/s),
-//   3. PROCESS-assembly: per-chunk slab splice vs row-at-a-time moves,
+//   3. PROCESS-assembly vs row-at-a-time moves: one-chunk task slabs
+//      and many-chunk range slabs (trusted cells repeated per chunk),
+//      each concatenated into a pre-sized table,
 //   4. allocation counts for the same workloads (global operator new).
 //
 // In-binary gates (exit non-zero on failure), so CI's bench-trend leg
@@ -19,6 +21,7 @@
 //   - string append / assemble   >= 1x row-era (no regression; string
 //     ingest pays the interning hash per cell, so its win is the 10x scan
 //     and the deduplicated footprint, not raw append speed)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -196,13 +199,13 @@ int main() {
     for (std::size_t base = 0; base < kRows; base += 1024) {
       const std::size_t n = std::min<std::size_t>(1024, kRows - base);
       ColumnSlab batch(num_schema);
-      batch.reserve(n);
+      batch.reserve_rows(n);
       for (std::size_t k = 0; k < n; ++k) {
         batch.append_number(0, 1.0);
         batch.append_number(1, w.speed_of[base + k]);
         batch.finish_row();
       }
-      col_num.append_slab(batch, {});
+      col_num.append_slab(batch);
     }
   });
   const double row_num_rps = kRows / row_num_append.secs;
@@ -234,7 +237,7 @@ int main() {
     for (std::size_t base = 0; base < kRows; base += kBatch) {
       const std::size_t n = std::min(kBatch, kRows - base);
       ColumnSlab slab(slab_schema);
-      slab.reserve(n);
+      slab.reserve_rows(n);
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = base + k;
         slab.append_string(0, w.plates[w.plate_of[i]]);
@@ -242,7 +245,7 @@ int main() {
         slab.append_number(2, w.speed_of[i]);
         slab.finish_row();
       }
-      col_table.append_slab(slab, {});
+      col_table.append_slab(slab);
     }
   });
   const double row_append_rps = kRows / row_append.secs;
@@ -273,7 +276,7 @@ int main() {
               static_cast<unsigned long long>(col_scan_m.allocs),
               col_scan_rps / row_scan_rps);
 
-  // ---- 3. PROCESS assembly: slab splice vs row moves -----------------
+  // ---- 3. PROCESS assembly: task and range slabs vs row moves ------
   const std::size_t kChunks = kRows / kSlabRows;
   Schema full = plane_schema()
                     .with_column({kChunkColumn, DType::kNumber, Value(0.0)})
@@ -292,30 +295,49 @@ int main() {
       }
     }
   });
-  Measured col_assemble = measure([&] {
-    Table out(full);
-    Schema slab_schema = plane_schema();
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      ColumnSlab slab(slab_schema);
-      slab.reserve(kSlabRows);
-      for (std::size_t k = 0; k < kSlabRows; ++k) {
-        const std::size_t i = c * kSlabRows + k;
-        slab.append_string(0, w.plates[w.plate_of[i]]);
-        slab.append_string(1, w.colors[w.color_of[i]]);
-        slab.append_number(2, w.speed_of[i]);
-        slab.finish_row();
+  // Columnar: the engine's range path (PreparedQuery::run_range). Each
+  // range slab spans the full schema and holds the cells of
+  // `chunks_per_range` chunks, each chunk's trusted cells repeated after
+  // its rows; assembly pre-sizes the table once and concatenates the
+  // ranges in order (PreparedQuery::assemble).
+  auto assemble_ranges = [&](std::size_t chunks_per_range) {
+    return measure([&] {
+      Table out(full);
+      out.reserve_rows(kRows);
+      for (std::size_t base = 0; base < kChunks; base += chunks_per_range) {
+        ColumnSlab range(full);
+        const std::size_t end = std::min(kChunks, base + chunks_per_range);
+        for (std::size_t c = base; c < end; ++c) {
+          range.reserve_rows(kSlabRows);  // as run_sandboxed does
+          for (std::size_t k = 0; k < kSlabRows; ++k) {
+            const std::size_t i = c * kSlabRows + k;
+            range.append_string(0, w.plates[w.plate_of[i]]);
+            range.append_string(1, w.colors[w.color_of[i]]);
+            range.append_number(2, w.speed_of[i]);
+            range.finish_row();
+          }
+          range.repeat_number(3, 5.0 * static_cast<double>(c), kSlabRows);
+          range.repeat_string(4, "cam", kSlabRows);
+        }
+        out.append_slab(range);
       }
-      out.append_slab(slab,
-                      {Value(5.0 * static_cast<double>(c)), Value("cam")});
-    }
-  });
+    });
+  };
+  // One chunk per range: the service scheduler's run_range(p, t, t + 1).
+  Measured task_assemble = assemble_ranges(1);
+  // One pool morsel's worth of chunks per range: Executor::run.
+  Measured range_assemble = assemble_ranges(kBatch / kSlabRows);
   std::printf("assemble    row: %10.0f rows/s  (%llu allocs)\n",
               kRows / row_assemble.secs,
               static_cast<unsigned long long>(row_assemble.allocs));
-  std::printf("assemble columnar: %9.0f rows/s  (%llu allocs)  %.2fx\n",
-              kRows / col_assemble.secs,
-              static_cast<unsigned long long>(col_assemble.allocs),
-              row_assemble.secs / col_assemble.secs);
+  std::printf("assemble   task: %10.0f rows/s  (%llu allocs)  %.2fx\n",
+              kRows / task_assemble.secs,
+              static_cast<unsigned long long>(task_assemble.allocs),
+              row_assemble.secs / task_assemble.secs);
+  std::printf("assemble  range: %10.0f rows/s  (%llu allocs)  %.2fx\n",
+              kRows / range_assemble.secs,
+              static_cast<unsigned long long>(range_assemble.allocs),
+              row_assemble.secs / range_assemble.secs);
 
   // ---- gates ----------------------------------------------------------
   int failures = 0;
@@ -341,9 +363,14 @@ int main() {
                 col_append_rps / row_append_rps);
     ++failures;
   }
-  if (col_assemble.secs > row_assemble.secs) {
-    std::printf("FAIL: columnar assemble regressed (%.2fx row-era)\n",
-                row_assemble.secs / col_assemble.secs);
+  if (task_assemble.secs > row_assemble.secs) {
+    std::printf("FAIL: per-task assemble regressed (%.2fx row-era)\n",
+                row_assemble.secs / task_assemble.secs);
+    ++failures;
+  }
+  if (range_assemble.secs > row_assemble.secs) {
+    std::printf("FAIL: range assemble regressed (%.2fx row-era)\n",
+                row_assemble.secs / range_assemble.secs);
     ++failures;
   }
   if (failures == 0) std::printf("all table-plane gates passed\n");

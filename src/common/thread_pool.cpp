@@ -38,6 +38,26 @@ std::size_t ThreadPool::resolve_threads(std::size_t requested) {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t max_threads) {
+  parallel_for_ranges(
+      n,
+      [&fn](std::size_t begin, std::size_t end) {
+        // Every index runs; the range rethrows its lowest failure, which
+        // the batch orders by the range's begin.
+        std::exception_ptr first;
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            fn(i);
+          } catch (...) {
+            if (!first) first = std::current_exception();
+          }
+        }
+        if (first) std::rethrow_exception(first);
+      },
+      max_threads);
+}
+
+void ThreadPool::parallel_for_ranges(std::size_t n, const RangeFn& fn,
+                                     std::size_t max_threads) {
   if (n == 0) return;
   if (workers_.empty() || n == 1 || max_threads == 1 || t_inside_pool_task) {
     // Inline execution, tagged so traces can distinguish it from a real
@@ -53,12 +73,13 @@ void ThreadPool::parallel_for(std::size_t n,
     }
     c_inline_batches_->add();
     c_inline_items_->add(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Same seam as the pooled path below: a task slot dying before its
-      // function runs, surfaced to the caller like any task exception.
-      fault::inject("pool.task");
-      fn(i);
-    }
+    // The whole batch is one morsel on the caller: the same fault seam and
+    // error ordering as the pooled path below.
+    Batch batch;
+    batch.n = n;
+    batch.fn = &fn;
+    run_morsel(batch, 0, n);
+    if (batch.first_error) std::rethrow_exception(batch.first_error);
     return;
   }
 
@@ -151,20 +172,7 @@ void ThreadPool::work(Batch& batch) {
       g_active_workers_->add(1);
     }
     g_queue_depth_->sub(static_cast<std::int64_t>(claimed));
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        // Models a worker dying as it picks up the task — before the task
-        // function runs, so it lands in first_error like any task failure.
-        fault::inject("pool.task");
-        (*batch.fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(batch.error_mu);
-        if (!batch.first_error || i < batch.first_error_index) {
-          batch.first_error = std::current_exception();
-          batch.first_error_index = i;
-        }
-      }
-    }
+    run_morsel(batch, begin, end);
     if (batch.remaining.fetch_sub(claimed, std::memory_order_acq_rel) ==
         claimed) {
       std::lock_guard<std::mutex> lk(mu_);  // pair with the caller's wait
@@ -179,6 +187,41 @@ void ThreadPool::work(Batch& batch) {
     }
   }
   t_inside_pool_task = false;
+}
+
+void ThreadPool::run_morsel(Batch& batch, std::size_t begin,
+                            std::size_t end) {
+  const auto fail = [&batch](std::size_t index, std::exception_ptr error) {
+    std::lock_guard<std::mutex> lk(batch.error_mu);
+    if (!batch.first_error || index < batch.first_error_index) {
+      batch.first_error = std::move(error);
+      batch.first_error_index = index;
+    }
+  };
+  const auto run = [&](std::size_t lo, std::size_t hi) {
+    if (lo == hi) return;
+    try {
+      (*batch.fn)(lo, hi);
+    } catch (...) {
+      fail(lo, std::current_exception());
+    }
+  };
+  std::size_t lo = begin;
+  for (std::size_t i = begin; i < end; ++i) {
+    std::exception_ptr lost;
+    try {
+      // Models a worker dying as it picks up index i — before the body
+      // sees it, so it lands in first_error like any task failure.
+      fault::inject("pool.task");
+    } catch (...) {
+      lost = std::current_exception();
+    }
+    if (!lost) continue;
+    run(lo, i);
+    fail(i, std::move(lost));
+    lo = i + 1;
+  }
+  run(lo, end);
 }
 
 }  // namespace privid

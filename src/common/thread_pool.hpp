@@ -4,20 +4,26 @@
 // chunk x region sandbox invocation is a pure function of its ChunkView
 // with a private random tape (engine/sandbox.hpp), so invocations can run
 // in any order on any thread. The pool deliberately has no work stealing
-// and no futures — every participant writes into caller-owned, pre-sized
-// slots, so results are byte-identical to the sequential order no matter
-// how the scheduler interleaves tasks.
+// and no futures — every participant writes into caller-owned state, so
+// results are byte-identical to the sequential order no matter how the
+// scheduler interleaves tasks.
 //
 // Participants claim indices in guided morsels: one fetch_add on the
 // batch's cursor takes max(1, unclaimed / (4 x participants)) consecutive
 // indices. Microsecond tasks (a Porto fan-out runs 10^4-10^5 of them per
 // query) then pay one shared-cacheline RMW per morsel instead of per
 // index, while the grain shrinks to a single index at the tail, so a
-// batch of a few long tasks still spreads one task per thread.
+// batch of a few long tasks still spreads one task per thread. The range
+// form hands each morsel to the body whole, as [begin, end), so a body can
+// also amortize its own per-call costs (one output buffer per morsel).
 //
-// Determinism contract: parallel_for(n, fn) calls fn(i) exactly once for
-// every i in [0, n); fn must only write state owned by index i. Under that
-// contract the observable outcome is independent of the worker count.
+// Determinism contract: parallel_for_ranges(n, fn) calls fn(begin, end)
+// over disjoint ranges that together cover [0, n), each index exactly
+// once; fn must only write state owned by its range. parallel_for(n, fn)
+// is the index form over it: fn(i) runs exactly once for every i. Under
+// either contract the observable outcome is independent of the worker
+// count; only the range boundaries vary, so a range body's output must
+// not depend on where its range was cut.
 #pragma once
 
 #include <atomic>
@@ -50,13 +56,21 @@ class ThreadPool {
   // Total compute threads a parallel_for uses (workers + the caller).
   std::size_t parallelism() const { return workers_.size() + 1; }
 
-  // Runs fn(0), ..., fn(n-1), each exactly once, distributed over the
-  // workers and the calling thread; blocks until all complete. Concurrent
-  // parallel_for calls from different threads are serialized. A nested
-  // call from inside a task runs inline on the calling thread (no
-  // deadlock, same results). If any fn(i) throws, the exception with the
-  // lowest index is rethrown after the batch drains — matching what a
-  // sequential loop would have surfaced first.
+  using RangeFn = std::function<void(std::size_t begin, std::size_t end)>;
+
+  // Runs fn over ranges [begin, end) that tile [0, n), distributed over
+  // the workers and the calling thread; blocks until all complete. Each
+  // claimed morsel reaches fn as one range, except that an index whose
+  // pool.task fault fires (a participant lost as it picks the index up) is
+  // cut out of its morsel and never reaches fn. Concurrent calls from
+  // different threads are serialized. A nested call from inside a task
+  // runs inline on the calling thread (no deadlock, same results).
+  //
+  // Errors: an exception from fn(begin, end) is attributed to `begin`, a
+  // lost index to itself, and after the batch drains the one with the
+  // lowest index is rethrown. A body that walks its range in ascending
+  // order and throws its first failure therefore surfaces exactly the
+  // failure a sequential loop would have hit first.
   //
   // `max_threads` caps the compute threads participating in THIS batch
   // (0 = no cap). A hardware-sized pool serves smaller requests without
@@ -64,6 +78,12 @@ class ThreadPool {
   // the rest sit the batch out. The cap never changes results — only
   // resource use. On return every participant has left the batch, so the
   // active-worker gauge reads zero at quiescence.
+  void parallel_for_ranges(std::size_t n, const RangeFn& fn,
+                           std::size_t max_threads = 0);
+
+  // Index form: runs fn(0), ..., fn(n-1), each exactly once (every index
+  // runs even after another throws), and rethrows the exception of the
+  // lowest failing index. A thin adapter over parallel_for_ranges.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads = 0);
 
@@ -79,7 +99,7 @@ class ThreadPool {
  private:
   struct Batch {
     std::size_t n = 0;
-    const std::function<void(std::size_t)>* fn = nullptr;
+    const RangeFn* fn = nullptr;
     std::size_t max_workers = 0;            // worker join cap (caller extra)
     std::atomic<std::size_t> joined{0};     // workers that claimed a slot
     std::atomic<std::size_t> next{0};       // first unclaimed index
@@ -92,6 +112,9 @@ class ThreadPool {
 
   void worker_loop();
   void work(Batch& batch);
+  // Runs the claimed indices [begin, end) of `batch`: one pool.task visit
+  // per index, then fn over the runs of indices no fault removed.
+  static void run_morsel(Batch& batch, std::size_t begin, std::size_t end);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;                  // guards batch_, generation_, stop_

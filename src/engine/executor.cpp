@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <utility>
 
 #include "common/error.hpp"
@@ -380,15 +381,30 @@ std::size_t PreparedQuery::total_tasks() const {
 // One task per chunk x region, in the sequential nesting order (chunks
 // outer, regions inner). Each sandbox invocation is a pure function of its
 // ChunkView with a private per-chunk tape, so tasks can run on any thread;
-// task i's slab lands in slot i and assemble() splices the slots in order,
-// making the result bit-identical to a sequential run. The same purity
-// makes the chunk cache and single-flight exact: a cached or shared task's
-// sandbox slab is byte-identical to a recomputed one, and the trusted
-// columns are appended outside both either way.
-ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
+// a range appends its tasks' rows in task order and assemble() concatenates
+// the ranges in order, making the result bit-identical to a sequential run
+// however the phase was cut. The same purity makes the chunk cache and
+// single-flight exact: a cached or shared task's sandbox slab is
+// byte-identical to a recomputed one, and the trusted columns are appended
+// outside both either way.
+TaskRange PreparedQuery::run_range(std::size_t phase, std::size_t lo,
+                                   std::size_t hi) const {
+  const Phase& ph = phases_.at(phase);
+  if (lo > hi || hi > task_count(phase)) {
+    throw ArgumentError("PreparedQuery: task range outside the phase");
+  }
+  TaskRange range{lo, hi, ColumnSlab(ph.bound->data.schema())};
+  for (std::size_t task = lo; task < hi; ++task) {
+    append_task(phase, task, &range.rows);
+  }
+  return range;
+}
+
+void PreparedQuery::append_task(std::size_t phase, std::size_t task,
+                                ColumnSlab* out) const {
   obs::Span span("task.process", "engine");
   obs::ScopedTimer timer(engine_metrics().task_process);
-  const Phase& ph = phases_.at(phase);
+  const Phase& ph = phases_[phase];
   const auto& chunk = ph.chunks[task / ph.n_regions];
   const std::size_t r = task % ph.n_regions;
   const Region* region = ph.rs.scheme ? &ph.rs.scheme->region(r) : nullptr;
@@ -396,29 +412,37 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
     span.tag("phase", static_cast<std::uint64_t>(phase))
         .tag("task", static_cast<std::uint64_t>(task));
   }
+  const auto view = [&] {
+    return ChunkView(&ph.rs.cam->content, &ph.rs.cam->meta, chunk.index,
+                     chunk.time, chunk.frames, ph.rs.mask, region);
+  };
 
+  // Appends the task's sandboxed cells to `out`, or throws before
+  // appending any.
   auto attempt = [&]() {
-    ColumnSlab slab;
-    Fingerprint key;
-    bool have_slab = false;
-    if (ph.keyed) {
-      FingerprintBuilder task_key = ph.base_key;
-      task_key.add(static_cast<std::uint64_t>(chunk.index));
-      task_key.add(chunk.time.begin).add(chunk.time.end);
-      task_key.add(static_cast<std::int64_t>(chunk.frames.begin));
-      task_key.add(static_cast<std::int64_t>(chunk.frames.end));
-      task_key.add(region ? region->name : std::string());
-      key = task_key.digest();
-      if (span.active()) span.tag("fingerprint", fingerprint_hex(key));
-      if (cache_ != nullptr) have_slab = cache_->lookup(key, &slab);
-      if (span.active()) span.tag("cache", have_slab ? "hit" : "miss");
+    if (!ph.keyed) {
+      // Nothing caches or shares this task's slab: the sandbox coerces
+      // straight into the range.
+      obs::Span sandbox_span("task.sandbox", "engine");
+      run_sandboxed(ph.exe, view(), ph.sandbox, out);
+      return;
     }
-    if (!have_slab) {
+    FingerprintBuilder task_key = ph.base_key;
+    task_key.add(static_cast<std::uint64_t>(chunk.index));
+    task_key.add(chunk.time.begin).add(chunk.time.end);
+    task_key.add(static_cast<std::int64_t>(chunk.frames.begin));
+    task_key.add(static_cast<std::int64_t>(chunk.frames.end));
+    task_key.add(region ? region->name : std::string());
+    const Fingerprint key = task_key.digest();
+    if (span.active()) span.tag("fingerprint", fingerprint_hex(key));
+    ColumnSlab slab;
+    const bool hit = cache_ != nullptr && cache_->lookup(key, &slab);
+    if (span.active()) span.tag("cache", hit ? "hit" : "miss");
+    if (!hit) {
       auto compute = [&]() {
         obs::Span sandbox_span("task.sandbox", "engine");
-        ChunkView view(&ph.rs.cam->content, &ph.rs.cam->meta, chunk.index,
-                       chunk.time, chunk.frames, ph.rs.mask, region);
-        ColumnSlab fresh = run_sandboxed(ph.exe, view, ph.sandbox);
+        ColumnSlab fresh(ph.sandbox.schema);
+        run_sandboxed(ph.exe, view(), ph.sandbox, &fresh);
         if (cache_ != nullptr) cache_->insert(key, fresh);
         return fresh;
       };
@@ -440,20 +464,21 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
         slab = compute();
       }
     }
-    return slab;
+    out->append_rows(slab);
   };
 
   // Bounded retry for transient infrastructure failures only — a
   // recovered attempt recomputes the same pure function (possibly served
   // straight from the cache a crashed leader already populated), so the
-  // slab is byte-identical to a never-failed run. Any non-transient
+  // rows are byte-identical to a never-failed run. Any non-transient
   // exception propagates on first occurrence and fails the query.
+  const std::size_t before = out->row_count();
   const std::size_t max_attempts = 1 + kSandboxRetries;
   for (std::size_t attempt_no = 1;; ++attempt_no) {
     try {
-      ColumnSlab slab = attempt();
+      attempt();
       if (attempt_no > 1) engine_metrics().retry_recovered->add();
-      return slab;
+      break;
     } catch (const TransientError&) {
       if (attempt_no >= max_attempts) {
         engine_metrics().retry_exhausted->add();
@@ -465,43 +490,49 @@ ColumnSlab PreparedQuery::run_task(std::size_t phase, std::size_t task) const {
       }
     }
   }
+
+  // The trusted cells, one per appended row. Strings intern even for a
+  // zero-row task, so a table's region and camera dictionaries list every
+  // task's trusted strings in task order, whichever tasks produced rows.
+  const std::size_t n = out->row_count() - before;
+  std::size_t c = ph.sandbox.schema.size();
+  out->repeat_number(c++, chunk.time.begin, n);
+  if (region != nullptr) out->repeat_string(c++, region->name, n);
+  out->repeat_string(c, ph.s->camera, n);
 }
 
 void PreparedQuery::assemble(std::size_t phase,
-                             std::vector<ColumnSlab>&& slots) {
+                             std::vector<TaskRange>&& ranges) {
   obs::Span span("query.assemble", "engine");
   obs::ScopedTimer timer(engine_metrics().assemble);
   if (span.active()) {
     span.tag("phase", static_cast<std::uint64_t>(phase))
-        .tag("slots", static_cast<std::uint64_t>(slots.size()));
+        .tag("ranges", static_cast<std::uint64_t>(ranges.size()));
   }
   Phase& ph = phases_.at(phase);
   if (ph.assembled) {
     throw ArgumentError("PreparedQuery: phase assembled twice");
   }
-  if (slots.size() != task_count(phase)) {
-    throw ArgumentError("PreparedQuery: assemble expects one slot per task");
-  }
-  // Pre-size the destination columns for the whole phase, then splice each
-  // slab with its trusted per-task constants (chunk timestamp, region,
-  // camera) — strictly fewer, larger allocations than row-at-a-time moves.
+  std::sort(ranges.begin(), ranges.end(),
+            [](const TaskRange& a, const TaskRange& b) {
+              return a.begin != b.begin ? a.begin < b.begin : a.end < b.end;
+            });
+  std::size_t next = 0;
   std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.row_count();
+  for (const TaskRange& range : ranges) {
+    if (range.begin != next || range.end < range.begin) {
+      throw ArgumentError(
+          "PreparedQuery: assemble expects ranges that tile the phase");
+    }
+    next = range.end;
+    total += range.rows.row_count();
+  }
+  if (next != task_count(phase)) {
+    throw ArgumentError(
+        "PreparedQuery: assemble expects ranges that tile the phase");
+  }
   ph.bound->data.reserve_rows(total);
-  // The trusted cells are built once per region; only the chunk timestamp
-  // (cell 0) changes from slot to slot. Slots still splice in task order,
-  // so the region and camera dictionaries intern in the same order.
-  std::vector<std::vector<Value>> trailing(ph.n_regions);
-  for (std::size_t r = 0; r < ph.n_regions; ++r) {
-    trailing[r].emplace_back(0.0);  // chunk, set per slot
-    if (ph.rs.scheme) trailing[r].emplace_back(ph.rs.scheme->region(r).name);
-    trailing[r].emplace_back(ph.s->camera);
-  }
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    std::vector<Value>& cells = trailing[i % ph.n_regions];
-    cells[0] = Value(ph.chunks[i / ph.n_regions].time.begin);
-    ph.bound->data.append_slab(slots[i], cells);
-  }
+  for (const TaskRange& range : ranges) ph.bound->data.append_slab(range.rows);
   ph.assembled = true;
 }
 
@@ -740,17 +771,21 @@ QueryResult Executor::run(PreparedQuery& pq) {
   std::size_t n_threads = ThreadPool::resolve_threads(pq.options().num_threads);
   for (std::size_t phase = 0; phase < pq.phase_count(); ++phase) {
     const std::size_t n_tasks = pq.task_count(phase);
-    std::vector<ColumnSlab> slots(n_tasks);
+    std::vector<TaskRange> ranges;
     if (pool_ != nullptr && n_threads > 1 && n_tasks > 1) {
-      pool_->parallel_for(
-          n_tasks, [&](std::size_t i) { slots[i] = pq.run_task(phase, i); },
+      std::mutex mu;  // guards `ranges`: one push per claimed morsel
+      pool_->parallel_for_ranges(
+          n_tasks,
+          [&](std::size_t lo, std::size_t hi) {
+            TaskRange range = pq.run_range(phase, lo, hi);
+            std::lock_guard<std::mutex> lock(mu);
+            ranges.push_back(std::move(range));
+          },
           n_threads);
     } else {
-      for (std::size_t i = 0; i < n_tasks; ++i) {
-        slots[i] = pq.run_task(phase, i);
-      }
+      ranges.push_back(pq.run_range(phase, 0, n_tasks));
     }
-    pq.assemble(phase, std::move(slots));
+    pq.assemble(phase, std::move(ranges));
   }
   return pq.finish();
 }

@@ -23,9 +23,9 @@
 // prepare() exposes the task-granular pipeline — a PreparedQuery whose
 // chunk-level tasks an external scheduler (service/scheduler.hpp) can
 // interleave with other queries' tasks; run() drives the same tasks on
-// the caller's thread (fanning PROCESS over the thread pool when
-// RunOptions::num_threads > 1). Both produce byte-identical releases and
-// sensitivities.
+// the caller's thread (fanning PROCESS over the thread pool, one range of
+// tasks per claimed morsel, when RunOptions::num_threads > 1). Both
+// produce byte-identical releases and sensitivities.
 #pragma once
 
 #include <map>
@@ -90,9 +90,9 @@ struct RunOptions {
   // PROCESS-phase parallelism: chunk x region sandbox invocations fan out
   // across at most this many threads of the executor's pool. 0 = all
   // hardware threads, 1 = the sequential path. Results are bit-identical
-  // regardless of the value: each task owns a pre-sized output slot and
-  // its private per-chunk random tape, and the rows are assembled in
-  // sequential order (see common/thread_pool.hpp).
+  // regardless of the value: each task has its private per-chunk random
+  // tape, each contiguous range of tasks writes its own slab, and the
+  // ranges are assembled in task order (see common/thread_pool.hpp).
   std::size_t num_threads = 1;
   // Chunk-output caching (see engine/chunk_cache.hpp): kOff recomputes
   // every chunk, kShared consults the executor's shared cache (the Privid
@@ -191,27 +191,40 @@ struct BoundTable {
   FrameInterval frames;  // the split window, camera frame space
 };
 
+// The output of a contiguous run [begin, end) of one phase's tasks: their
+// rows in task order, in one slab over the phase table's full schema — the
+// sandboxed cells and the trusted chunk/region/camera cells.
+struct TaskRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  ColumnSlab rows;
+};
+
 class Executor;
 
 // A query decomposed into chunk-level tasks: the task-granular entry point
 // the multi-analyst scheduler drives. Usage contract:
 //
 //   PreparedQuery pq = executor.prepare(q, opts);
-//   for each phase p:                      // phases are independent —
-//     for each task t in [0, task_count):  // tasks of all phases may run
-//       slots[t] = pq.run_task(p, t);      // concurrently, in any order,
-//     pq.assemble(p, std::move(slots));    // on any thread
-//   QueryResult r = pq.finish();           // single-threaded
+//   for each phase p:                       // phases are independent —
+//     for each range [lo, hi) of a tiling   // ranges of all phases may run
+//         of [0, task_count(p)):            // concurrently, in any order,
+//       ranges.push_back(pq.run_range(p, lo, hi));  // on any thread
+//     pq.assemble(p, std::move(ranges));
+//   QueryResult r = pq.finish();            // single-threaded
 //
-// run_task is thread-safe and pure per (phase, task): it owns no shared
+// run_range is thread-safe and pure per (phase, task): it owns no shared
 // mutable state beyond the (mutex-guarded) chunk cache and single-flight
 // registry, so any interleaving with other queries' tasks yields the same
-// rows. assemble appends slot outputs in sequential task order, which is
-// what makes the final table — and everything derived from it — byte-
-// identical to a sequential run. finish runs the SELECT phase: sensitivity,
-// aggregation and noise from the Rng the executor was built with. The
-// budget is not charged here: callers reserve admission_charges() through
-// the AdmissionController before the first task.
+// rows. Executor::run hands it each pool morsel; the service scheduler
+// one task at a time. assemble concatenates the ranges in task order, and
+// a range slab's rows and dictionaries are those its tasks would have
+// produced one at a time, so the final table — and everything derived
+// from it — is byte-identical to a sequential run however the tasks were
+// cut into ranges. finish runs the SELECT phase: sensitivity, aggregation
+// and noise from the Rng the executor was built with. The budget is not
+// charged here: callers reserve admission_charges() through the
+// AdmissionController before the first task.
 //
 // Lifetimes: the ParsedQuery, camera map, registry, rng, caches and
 // single-flight registry passed to the Executor must outlive this object.
@@ -224,17 +237,18 @@ class PreparedQuery {
   std::size_t task_count(std::size_t phase) const;
   std::size_t total_tasks() const;
 
-  // Runs one chunk x region sandbox task (cache lookup, single-flight,
-  // compute) and returns its column slab — the sandboxed cells only; the
-  // trusted chunk/region/camera columns are filled in by assemble, which
-  // derives them from the task index.
-  ColumnSlab run_task(std::size_t phase, std::size_t task) const;
+  // Runs tasks [lo, hi) of `phase` in task order and returns their rows.
+  // Each task is one chunk x region sandbox invocation with its own cache
+  // lookup, single-flight and transient-retry ladder, and its own
+  // task.process observation. Stops at, and rethrows, the first task that
+  // fails. Throws ArgumentError for a range outside the phase.
+  TaskRange run_range(std::size_t phase, std::size_t lo,
+                      std::size_t hi) const;
 
-  // Binds the phase's task slabs (slot i = run_task(phase, i)) into its
-  // table, in sequential task order: each slab is spliced column-wise and
-  // the trusted columns appended as per-slab constants. Must be called
-  // exactly once per phase.
-  void assemble(std::size_t phase, std::vector<ColumnSlab>&& slots);
+  // Concatenates the phase's range slabs into its table in task order.
+  // The ranges may come in any order but must tile [0, task_count(phase))
+  // (ArgumentError otherwise). Must be called exactly once per phase.
+  void assemble(std::size_t phase, std::vector<TaskRange>&& ranges);
 
   // Runs the SELECT phase over the assembled tables and returns the
   // result. Throws ArgumentError if a phase was never assembled.
@@ -252,6 +266,8 @@ class PreparedQuery {
 
  private:
   friend class Executor;
+  // Reads the assembled intermediate tables (tests/test_engine.cpp).
+  friend struct PreparedQueryTestAccess;
   PreparedQuery() = default;
 
   struct Phase {
@@ -279,6 +295,9 @@ class PreparedQuery {
     bool assembled = false;
   };
 
+  // Appends task `task`'s rows, trusted cells included, to `out`.
+  void append_task(std::size_t phase, std::size_t task,
+                   ColumnSlab* out) const;
   void run_select(const query::SelectStmt& s, QueryResult* out);
 
   std::map<std::string, CameraState>* cameras_ = nullptr;

@@ -110,39 +110,37 @@ Rng ChunkView::fork_rng() const {
   return Rng(seed_mix(content_->seed, tag));
 }
 
-ColumnSlab run_sandboxed(const Executable& exe, const ChunkView& view,
-                         const SandboxPolicy& policy) {
+void run_sandboxed(const Executable& exe, const ChunkView& view,
+                   const SandboxPolicy& policy, ColumnSlab* out) {
   // Models the sandbox worker dying *before* the executable runs (startup
   // failure), so the throw escapes to the executor's retry ladder. Inside
   // the try it would be absorbed into a default row — that path is the
   // executable crashing, which Appendix B deliberately makes unobservable.
   fault::inject("sandbox.exec");
-  ExecOutput out;
+  ExecOutput result;
   bool failed = false;
   try {
-    out = exe(view);
+    result = exe(view);
   } catch (const std::exception&) {
     failed = true;  // crash -> default row (Appendix B)
   }
-  if (!failed && out.simulated_runtime > policy.timeout) {
+  if (!failed && result.simulated_runtime > policy.timeout) {
     failed = true;  // timeout -> default row
   }
 
-  ColumnSlab slab(policy.schema);
   const std::size_t n_cols = policy.schema.size();
   if (failed) {
-    slab.reserve(1);
     for (std::size_t c = 0; c < n_cols; ++c) {
-      slab.append_value(c, policy.schema.column(c).default_value);
+      out->append_value(c, policy.schema.column(c).default_value);
     }
-    slab.finish_row();
-    return slab;
+    out->finish_row();
+    return;
   }
 
-  const std::size_t n_rows = std::min(out.rows.size(), policy.max_rows);
-  slab.reserve(n_rows);
+  const std::size_t n_rows = std::min(result.rows.size(), policy.max_rows);
+  out->reserve_rows(n_rows);
   for (std::size_t r = 0; r < n_rows; ++r) {
-    const Row& src = out.rows[r];
+    const Row& src = result.rows[r];
     for (std::size_t c = 0; c < n_cols; ++c) {
       const Column& col = policy.schema.column(c);
       // Mistyped cells keep the default — Privid places no trust in the
@@ -155,14 +153,13 @@ ColumnSlab run_sandboxed(const Executable& exe, const ChunkView& view,
         v = &src[c];
       }
       if (col.type == DType::kNumber) {
-        slab.append_number(c, v->as_number());
+        out->append_number(c, v->as_number());
       } else {
-        slab.append_string(c, v->as_string());
+        out->append_string(c, v->as_string());
       }
     }
-    slab.finish_row();
+    out->finish_row();
   }
-  return slab;
 }
 
 }  // namespace privid::engine

@@ -131,11 +131,14 @@ struct SandboxPolicy {
 // each cell to the schema (extraneous columns dropped, missing / mistyped /
 // non-finite cells replaced by the column default), and substitutes the
 // single default row if the executable times out or throws. The coerced
-// cells are emitted directly into a pre-sized per-task column slab — this
-// is the engine's first columnar container on the PROCESS path; the slab
-// then flows through the chunk cache / single-flight and is spliced into
-// the intermediate table at assembly.
-ColumnSlab run_sandboxed(const Executable& exe, const ChunkView& view,
-                         const SandboxPolicy& policy);
+// cells are appended straight into `out` — the engine's columnar form
+// from the first cell on — filling its first policy.schema.size() columns
+// and counting the rows; a wider slab (a range slab, whose trusted columns
+// follow the analyst ones) has its remaining columns filled by the caller.
+// The one exception that escapes (the sandbox.exec fault seam, a
+// TransientError) is thrown before anything is appended, so a retry
+// appends to an untouched slab.
+void run_sandboxed(const Executable& exe, const ChunkView& view,
+                   const SandboxPolicy& policy, ColumnSlab* out);
 
 }  // namespace privid::engine

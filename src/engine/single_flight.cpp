@@ -21,7 +21,7 @@ bool SingleFlight::run(const Fingerprint& key, const Compute& compute,
 
   if (leader) {
     // Publish only after compute returns — compute also inserts into the
-    // chunk cache (see PreparedQuery::run_task), so by the time the flight
+    // chunk cache (see PreparedQuery::append_task), so by the time the flight
     // is retired the cache already covers the key and a late arrival hits
     // one or the other, never neither.
     try {

@@ -187,7 +187,8 @@ void QueryScheduler::retire(TaskRef& t) {
       // sharded). Lands in task_error like any task failure — the retry
       // ladder lives below, in the engine.
       fault::inject("sched.dispatch");
-      job.slots[t.phase][t.task] = job.prepared->run_task(t.phase, t.task);
+      job.slots[t.phase][t.task] =
+          job.prepared->run_range(t.phase, t.task, t.task + 1);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(job.error_mu);

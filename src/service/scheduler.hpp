@@ -15,8 +15,9 @@
 // the next task in stride order, runs it, and repeats until the queue is
 // empty and no sibling is still running a task (so a query submitted
 // during the period's tail is served at once). There is no barrier
-// between tasks: a long task holds only its own participant. Tasks only
-// write their own pre-sized slot, so this scheduling layer cannot perturb
+// between tasks: a long task holds only its own participant. Each task
+// runs as a one-task range (PreparedQuery::run_range) into its own
+// pre-sized slot, so this scheduling layer cannot perturb
 // results: whichever participant retires a query's last task assembles
 // its tables from the slots in sequential task order, making releases
 // byte-identical no matter what else the service is running (see
@@ -83,7 +84,8 @@ struct QueryJob {
   Rng rng{0};  // this query's private noise stream
   std::unique_ptr<engine::Executor> exec;
   std::unique_ptr<engine::PreparedQuery> prepared;
-  std::vector<std::vector<ColumnSlab>> slots;  // [phase][task]
+  // [phase][task]: each task's output as a one-task range.
+  std::vector<std::vector<engine::TaskRange>> slots;
   engine::Reservation reservation;
   // Tasks not yet retired (run or dropped); set by submit. The task whose
   // decrement reaches zero settles the query.

@@ -144,8 +144,6 @@ class QueryService {
   // they serialize against in-flight queries (the Privid facade does).
   std::shared_mutex& owner_mutex() { return owner_mu_; }
 
-  engine::SingleFlight& single_flight() { return inflight_; }
-
  private:
   std::map<std::string, engine::CameraState>* cameras_;
   const engine::ExecutableRegistry* registry_;

@@ -1,5 +1,7 @@
 #include "table/column.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 // privcheck:allow-file(parallel-hash): StringDict's open-addressing index
@@ -10,28 +12,39 @@
 namespace privid {
 
 StringDict::StringDict(const StringDict& o)
-    : blocks_(o.blocks_), size_(o.size_), slots_(o.slots_) {
-  if (!blocks_.empty()) blocks_.back().reserve(kBlock);
+    : head_(o.head_), tail_(o.tail_), size_(o.size_), slots_(o.slots_) {
+  reserve_last_block();
 }
 
 StringDict& StringDict::operator=(const StringDict& o) {
   if (this != &o) {
-    blocks_ = o.blocks_;
+    head_ = o.head_;
+    tail_ = o.tail_;
     size_ = o.size_;
     slots_ = o.slots_;
-    if (!blocks_.empty()) blocks_.back().reserve(kBlock);
+    reserve_last_block();
   }
   return *this;
 }
 
-const std::string& StringDict::push(std::string_view s) {
-  if (size_ % kBlock == 0) {
-    blocks_.emplace_back();
-    blocks_.back().reserve(kBlock);  // fixed capacity: strings never move
+void StringDict::reserve_last_block() {
+  if (!tail_.empty()) {
+    tail_.back().reserve(kBlock);
+  } else if (!head_.empty()) {
+    head_.reserve(kHead);
   }
-  blocks_.back().emplace_back(s);
+}
+
+const std::string& StringDict::push(std::string_view s) {
+  // Each block reserves its fixed capacity up front: strings never move.
+  if (size_ < kHead) {
+    if (head_.empty()) head_.reserve(kHead);
+    ++size_;
+    return head_.emplace_back(s);
+  }
+  if ((size_ - kHead) % kBlock == 0) tail_.emplace_back().reserve(kBlock);
   ++size_;
-  return blocks_.back().back();
+  return tail_.back().emplace_back(s);
 }
 
 // Doubles (or seeds) the slot table and re-inserts every code.
@@ -41,7 +54,8 @@ void StringDict::grow_index() {
   const std::size_t mask = cap - 1;
   for (std::size_t i = 0; i < size_; ++i) {
     std::size_t slot =
-        std::hash<std::string_view>{}(blocks_[i / kBlock][i % kBlock]) & mask;
+        std::hash<std::string_view>{}(entry(static_cast<std::uint32_t>(i))) &
+        mask;
     while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
     slots_[slot] = static_cast<std::uint32_t>(i);
   }
@@ -53,7 +67,7 @@ std::optional<std::uint32_t> StringDict::probe(std::string_view s) const {
   std::size_t slot = std::hash<std::string_view>{}(s) & mask;
   while (slots_[slot] != kEmptySlot) {
     const std::uint32_t code = slots_[slot];
-    if (blocks_[code / kBlock][code % kBlock] == s) return code;
+    if (entry(code) == s) return code;
     slot = (slot + 1) & mask;
   }
   return std::nullopt;
@@ -62,7 +76,7 @@ std::optional<std::uint32_t> StringDict::probe(std::string_view s) const {
 std::uint32_t StringDict::intern(std::string_view s) {
   if (slots_.empty()) {
     for (std::size_t i = 0; i < size_; ++i) {
-      if (blocks_[i / kBlock][i % kBlock] == s) {
+      if (entry(static_cast<std::uint32_t>(i)) == s) {
         return static_cast<std::uint32_t>(i);
       }
     }
@@ -88,7 +102,7 @@ std::uint32_t StringDict::intern(std::string_view s) {
 std::optional<std::uint32_t> StringDict::find(std::string_view s) const {
   if (slots_.empty()) {
     for (std::size_t i = 0; i < size_; ++i) {
-      if (blocks_[i / kBlock][i % kBlock] == s) {
+      if (entry(static_cast<std::uint32_t>(i)) == s) {
         return static_cast<std::uint32_t>(i);
       }
     }
@@ -99,12 +113,10 @@ std::optional<std::uint32_t> StringDict::find(std::string_view s) const {
 
 std::size_t StringDict::bytes() const {
   std::size_t n = 0;
-  for (const auto& block : blocks_) {
-    for (const std::string& s : block) {
-      // One stored string + its index / code-table slots.
-      n += s.size() + sizeof(std::string) + sizeof(std::uint32_t) +
-           sizeof(const std::string*);
-    }
+  for (std::uint32_t code = 0; code < size_; ++code) {
+    // One stored string + its index / code-table slots.
+    n += entry(code).size() + sizeof(std::string) + sizeof(std::uint32_t) +
+         sizeof(const std::string*);
   }
   return n;
 }
@@ -159,6 +171,32 @@ void ColumnVec::append_gather_from(const ColumnVec& src,
   }
 }
 
+void ColumnVec::append_column(const ColumnVec& src) {
+  if (type == DType::kNumber) {
+    nums.insert(nums.end(), src.nums.begin(), src.nums.end());
+    return;
+  }
+  // A task or range slab's dictionary rarely holds more than a handful
+  // of strings: remap those through the stack, not a heap vector per
+  // column of every appended slab.
+  constexpr std::size_t kInlineMap = 32;
+  std::uint32_t inline_map[kInlineMap];
+  std::vector<std::uint32_t> heap_map;
+  std::uint32_t* map = inline_map;
+  if (src.dict.size() > kInlineMap) {
+    heap_map.resize(src.dict.size());
+    map = heap_map.data();
+  }
+  for (std::uint32_t code = 0; code < src.dict.size(); ++code) {
+    map[code] = dict.intern(src.dict.at(code));
+  }
+  const std::size_t base = codes.size();
+  codes.resize(base + src.codes.size());
+  for (std::size_t r = 0; r < src.codes.size(); ++r) {
+    codes[base + r] = map[src.codes[r]];
+  }
+}
+
 ColumnSlab ColumnSlab::from_columns(std::vector<ColumnVec> cols,
                                     std::size_t n_rows) {
   for (const ColumnVec& col : cols) {
@@ -180,12 +218,18 @@ ColumnSlab::ColumnSlab(const Schema& schema) {
   }
 }
 
-void ColumnSlab::reserve(std::size_t n) {
+void ColumnSlab::reserve_rows(std::size_t n) {
+  auto grow = [n](auto& cells) {
+    const std::size_t need = cells.size() + n;
+    if (need > cells.capacity()) {
+      cells.reserve(std::max(need, 2 * cells.capacity()));
+    }
+  };
   for (ColumnVec& col : cols_) {
     if (col.type == DType::kNumber) {
-      col.nums.reserve(n);
+      grow(col.nums);
     } else {
-      col.codes.reserve(n);
+      grow(col.codes);
     }
   }
 }
@@ -201,6 +245,33 @@ void ColumnSlab::append_value(std::size_t c, const Value& v) {
   } else {
     col.codes.push_back(col.dict.intern(v.as_string()));
   }
+}
+
+void ColumnSlab::append_rows(const ColumnSlab& src) {
+  if (src.column_count() > cols_.size()) {
+    throw TypeError("append_rows: source slab has more columns");
+  }
+  for (std::size_t c = 0; c < src.column_count(); ++c) {
+    const ColumnVec& s = src.cols_[c];
+    if (s.type != cols_[c].type) {
+      throw TypeError("append_rows: column dtype mismatch");
+    }
+    cols_[c].append_range_from(s, 0, s.cell_count());
+  }
+  n_rows_ += src.row_count();
+}
+
+void ColumnSlab::repeat_number(std::size_t c, double v, std::size_t n) {
+  ColumnVec& col = cols_.at(c);
+  if (col.type != DType::kNumber) throw TypeError("slab column is STRING");
+  col.nums.insert(col.nums.end(), n, v);
+}
+
+void ColumnSlab::repeat_string(std::size_t c, std::string_view s,
+                               std::size_t n) {
+  ColumnVec& col = cols_.at(c);
+  if (col.type != DType::kString) throw TypeError("slab column is NUMBER");
+  col.codes.insert(col.codes.end(), n, col.dict.intern(s));
 }
 
 Value ColumnSlab::value_at(std::size_t row, std::size_t col) const {

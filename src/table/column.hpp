@@ -8,11 +8,13 @@
 //     itself stores 32-bit codes, so duplicate-heavy columns (plates,
 //     colors, region names) cost four bytes per cell plus one copy of
 //     each distinct string.
-//   - ColumnSlab is one PROCESS task's typed output: per-column vectors
-//     (doubles for NUMBER, codes+dict for STRING) matching a schema
-//     prefix. Slabs flow from the sandbox through the chunk cache and
-//     single-flight registry, and are spliced — column by column, not
-//     cell by cell — into the destination Table at assembly.
+//   - ColumnSlab is a typed table fragment: per-column vectors (doubles
+//     for NUMBER, codes+dict for STRING). One PROCESS task's sandboxed
+//     rows are a slab over the analyst schema; they flow from the sandbox
+//     through the chunk cache and single-flight registry. A run of a
+//     phase's tasks appends its rows, trusted cells included, into one
+//     slab over the table's full schema, and assembly concatenates those
+//     range slabs — column by column, not cell by cell — into the Table.
 //
 // Cell values cross these containers as raw typed data; `Value` only
 // materializes at the edges (expression evaluation, report rendering).
@@ -38,11 +40,13 @@ namespace privid {
 //
 // Storage is chunked (fixed-capacity blocks that never reallocate, so
 // `at()` references survive later interns) and fully lazy — an unused
-// dictionary, e.g. on a NUMBER column, allocates nothing. Low-cardinality
-// columns — per-chunk PROCESS slabs rarely see more than a handful of
-// distinct strings — are served by a linear scan with zero index
-// overhead; the hash index is built lazily once the dictionary outgrows
-// the linear limit.
+// dictionary, e.g. on a NUMBER column, allocates nothing. The first block
+// holds 4 strings and later ones 16, so a task slab's dictionary — the
+// service keeps one per string column of every task until its query
+// settles — is usually one small allocation. Low-cardinality columns —
+// per-chunk PROCESS slabs rarely see more than a handful of distinct
+// strings — are served by a linear scan with zero index overhead; the hash
+// index is built lazily once the dictionary outgrows the linear limit.
 class StringDict {
  public:
   StringDict() = default;
@@ -61,7 +65,7 @@ class StringDict {
   // The string behind a code (valid for the dict's lifetime).
   const std::string& at(std::uint32_t code) const {
     if (code >= size_) throw std::out_of_range("StringDict code");
-    return blocks_[code / kBlock][code % kBlock];
+    return entry(code);
   }
 
   std::size_t size() const { return size_; }
@@ -72,17 +76,28 @@ class StringDict {
   std::size_t bytes() const;
 
  private:
+  // Codes [0, kHead) live in head_; code c >= kHead in tail block
+  // (c - kHead) / kBlock.
+  static constexpr std::size_t kHead = 4;
+  static constexpr std::size_t kBlock = 16;
+  const std::string& entry(std::uint32_t code) const {
+    if (code < kHead) return head_[code];
+    const std::size_t t = code - kHead;
+    return tail_[t / kBlock][t % kBlock];
+  }
+  // Restores the reserved capacity a plain vector copy drops.
+  void reserve_last_block();
   void grow_index();
   const std::string& push(std::string_view s);
   std::optional<std::uint32_t> probe(std::string_view s) const;
 
   static constexpr std::size_t kLinearLimit = 16;
-  static constexpr std::size_t kBlock = 16;
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-  // code -> string, in fixed-capacity blocks: each inner vector reserves
-  // kBlock once and never grows, so the strings never move even as the
-  // outer vector reallocates.
-  std::vector<std::vector<std::string>> blocks_;
+  // code -> string, in fixed-capacity blocks: each reserves its capacity
+  // once and never grows, so the strings never move even as the outer
+  // vector reallocates.
+  std::vector<std::string> head_;
+  std::vector<std::vector<std::string>> tail_;
   std::size_t size_ = 0;
   // Open-addressing index of codes (power-of-two capacity, linear
   // probing, no per-entry nodes). Empty while size_ <= kLinearLimit
@@ -113,12 +128,17 @@ struct ColumnVec {
   // Appends src's cells at `rows`, in order.
   void append_gather_from(const ColumnVec& src,
                           const std::vector<std::size_t>& rows);
+  // Appends all of src's cells after interning every entry of src's
+  // dictionary in dictionary order, including entries no cell uses. So
+  // appending the parts of a concatenation leaves the same dictionary as
+  // appending the cells one part at a time would have.
+  void append_column(const ColumnVec& src);
 };
 
-// A small columnar table fragment without schema names: one PROCESS task's
-// sandboxed rows. Column dtypes mirror the declared schema's analyst
-// columns (the trusted chunk/region/camera columns are appended by the
-// assembler, never stored per slab).
+// A columnar table fragment without schema names. A PROCESS task's slab
+// holds its sandboxed rows over the declared analyst columns (that is what
+// the cache stores); a range slab (engine/executor.hpp) spans a phase
+// table's full schema, the trusted chunk/region/camera columns included.
 class ColumnSlab {
  public:
   ColumnSlab() = default;
@@ -137,9 +157,9 @@ class ColumnSlab {
 
   const ColumnVec& column(std::size_t c) const { return cols_.at(c); }
 
-  // Pre-sizes every column for `n` rows (the sandbox knows max_rows up
-  // front, so a task's slab allocates once per column).
-  void reserve(std::size_t n);
+  // Makes room for `n` more rows in every column. Growth stays geometric,
+  // so a range that reserves once per task appends in amortized O(1).
+  void reserve_rows(std::size_t n);
 
   // Typed appends. Callers fill every column for a row, then finish_row().
   void append_number(std::size_t c, double v) { cols_[c].nums.push_back(v); }
@@ -151,6 +171,17 @@ class ColumnSlab {
   // mismatch with the column.
   void append_value(std::size_t c, const Value& v);
   void finish_row() { ++n_rows_; }
+
+  // Appends src's rows to this slab's first src.column_count() columns and
+  // counts them (TypeError on a dtype mismatch). Like finish_row, the rows
+  // count at once; a wider slab's remaining columns are the caller's to
+  // fill for them.
+  void append_rows(const ColumnSlab& src);
+  // Appends `n` copies of one cell to column c, leaving the row count
+  // alone. The string is interned even when n is 0, so a zero-row task
+  // still leaves its trusted region/camera entry in the dictionary.
+  void repeat_number(std::size_t c, double v, std::size_t n);
+  void repeat_string(std::size_t c, std::string_view s, std::size_t n);
 
   // Cell accessors (materializing / typed).
   Value value_at(std::size_t row, std::size_t col) const;

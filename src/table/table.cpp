@@ -206,37 +206,26 @@ void Table::append_cell(std::size_t col, const Value& v) {
   }
 }
 
-void Table::append_slab(const ColumnSlab& slab,
-                        const std::vector<Value>& trailing) {
-  if (slab.column_count() + trailing.size() != schema_.size()) {
-    throw TypeError("append_slab: slab + trailing arity does not match schema");
+void Table::append_slab(const ColumnSlab& slab) {
+  if (slab.column_count() != schema_.size()) {
+    throw TypeError("append_slab: slab arity does not match schema");
+  }
+  for (std::size_t c = 0; c < cols_.size(); ++c) {
+    if (slab.column(c).type != cols_[c].type) {
+      throw TypeError("append_slab: column dtype mismatch");
+    }
+    if (slab.column(c).cell_count() != slab.row_count()) {
+      throw TypeError("append_slab: column cell count does not match rows");
+    }
   }
   // No per-splice reserve: an exact-capacity reserve on every slab would
   // defeat the vectors' geometric growth and turn repeated splices
   // quadratic. Callers that know the total (PreparedQuery::assemble)
   // pre-size once via reserve_rows.
-  const std::size_t n = slab.row_count();
-  for (std::size_t c = 0; c < slab.column_count(); ++c) {
-    const ColumnVec& s = slab.column(c);
-    ColumnVec& d = cols_[c];
-    if (s.type != d.type) {
-      throw TypeError("append_slab: column dtype mismatch");
-    }
-    d.append_range_from(s, 0, s.cell_count());
+  for (std::size_t c = 0; c < cols_.size(); ++c) {
+    cols_[c].append_column(slab.column(c));
   }
-  for (std::size_t t = 0; t < trailing.size(); ++t) {
-    ColumnVec& d = cols_[slab.column_count() + t];
-    const Value& v = trailing[t];
-    if (v.type() != d.type) {
-      throw TypeError("append_slab: trailing dtype mismatch");
-    }
-    if (d.type == DType::kNumber) {
-      d.nums.insert(d.nums.end(), n, v.as_number());
-    } else {
-      d.codes.insert(d.codes.end(), n, d.dict.intern(v.as_string()));
-    }
-  }
-  n_rows_ += n;
+  n_rows_ += slab.row_count();
 }
 
 std::string Table::to_string(std::size_t limit) const {

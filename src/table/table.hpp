@@ -137,12 +137,11 @@ class Table {
   // Caller commits rows afterwards.
   void append_cell(std::size_t col, const Value& v);
 
-  // Appends a PROCESS slab plus trailing per-row-constant trusted cells
-  // (chunk timestamp, region, camera): slab columns map to schema columns
-  // [0, slab.column_count()), `trailing` to the rest, each trailing Value
-  // repeated slab.row_count() times. Throws TypeError on arity/dtype
-  // mismatch.
-  void append_slab(const ColumnSlab& slab, const std::vector<Value>& trailing);
+  // Appends a slab whose columns match the schema one to one (TypeError on
+  // an arity or dtype mismatch, or on a column whose cell count is not the
+  // slab's row count), interning every dictionary entry of the slab in
+  // order (ColumnVec::append_column).
+  void append_slab(const ColumnSlab& slab);
 
   // Renders the first `limit` rows as an aligned ASCII table (debugging).
   std::string to_string(std::size_t limit = 20) const;

@@ -308,16 +308,27 @@ TEST(StringDict, DuplicateHeavyColumnStoresOneCopy) {
 
 TEST(StringDict, ReferencesSurviveInternOnACopy) {
   // Copying must restore the last block's reserved capacity: holding an
-  // at() reference into a copy and then interning one more string must
-  // not reallocate the block under the reference.
-  StringDict a;
-  for (int i = 0; i < 5; ++i) a.intern("s" + std::to_string(i));
-  StringDict b = a;  // partially filled last block
-  const std::string& held = b.at(2);
-  const std::string* addr = &held;
-  for (int i = 0; i < 200; ++i) b.intern("t" + std::to_string(i));
-  EXPECT_EQ(&b.at(2), addr);
-  EXPECT_EQ(held, "s2");
+  // at() reference into a copy and then interning more strings must not
+  // reallocate the block under the reference. The first block holds 4
+  // strings and later ones 16, so a copy of 2 strings has a partially
+  // filled first block and a copy of 5 a partially filled second one.
+  for (std::uint32_t n : {2u, 5u}) {
+    StringDict a;
+    for (std::uint32_t i = 0; i < n; ++i) a.intern("s" + std::to_string(i));
+    StringDict b = a;  // partially filled last block
+    std::vector<const std::string*> held;
+    for (std::uint32_t code = 0; code < n; ++code) held.push_back(&b.at(code));
+    for (int i = 0; i < 200; ++i) b.intern("t" + std::to_string(i));
+    for (std::uint32_t code = 0; code < n; ++code) {
+      EXPECT_EQ(&b.at(code), held[code]) << n;
+      EXPECT_EQ(*held[code], "s" + std::to_string(code)) << n;
+    }
+    // Every code still maps to its string across the block boundaries.
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      EXPECT_EQ(b.at(n + i), "t" + std::to_string(i)) << n;
+      EXPECT_EQ(b.find("t" + std::to_string(i)), std::optional{n + i}) << n;
+    }
+  }
 }
 
 TEST(StringDict, CopyRebindsCodeTable) {
@@ -347,7 +358,6 @@ Schema mixed_schema() {
 
 TEST(ColumnSlab, TypedAppendsAndAccessors) {
   ColumnSlab slab(mixed_schema());
-  slab.reserve(2);
   slab.append_string(0, "AAA");
   slab.append_number(1, 42.0);
   slab.finish_row();
@@ -376,21 +386,27 @@ TEST(ColumnSlab, MixedDtypeAppendValueValidates) {
 }
 
 TEST(Table, AppendSlabSplicesAndFillsTrustedColumns) {
-  ColumnSlab slab(mixed_schema());
-  slab.append_string(0, "AAA");
-  slab.append_number(1, 42.0);
-  slab.finish_row();
-  slab.append_string(0, "BBB");
-  slab.append_number(1, 55.0);
-  slab.finish_row();
-
   Schema full({{"plate", DType::kString, Value(std::string())},
                {"speed", DType::kNumber, Value(0.0)},
                {kChunkColumn, DType::kNumber, Value(0.0)},
                {"camera", DType::kString, Value(std::string())}});
+  // One range slab per chunk: the sandboxed cells, then the trusted cells
+  // repeated once per row.
+  const auto range = [&](double chunk) {
+    ColumnSlab slab(full);
+    slab.append_string(0, "AAA");
+    slab.append_number(1, 42.0);
+    slab.finish_row();
+    slab.append_string(0, "BBB");
+    slab.append_number(1, 55.0);
+    slab.finish_row();
+    slab.repeat_number(2, chunk, 2);
+    slab.repeat_string(3, "cam", 2);
+    return slab;
+  };
   Table t(full);
-  t.append_slab(slab, {Value(15.0), Value("cam")});
-  t.append_slab(slab, {Value(20.0), Value("cam")});
+  t.append_slab(range(15.0));
+  t.append_slab(range(20.0));
   ASSERT_EQ(t.row_count(), 4u);
   EXPECT_EQ(t.string_at(0, 0), "AAA");
   EXPECT_EQ(t.string_at(3, 0), "BBB");
@@ -401,9 +417,31 @@ TEST(Table, AppendSlabSplicesAndFillsTrustedColumns) {
   EXPECT_EQ(t.dict(0).size(), 2u);
   EXPECT_EQ(t.dict(3).size(), 1u);
 
+  // A zero-row slab's dictionary entries still land, in order.
+  ColumnSlab empty(full);
+  empty.repeat_string(3, "other", 0);
+  t.append_slab(empty);
+  EXPECT_EQ(t.row_count(), 4u);
+  ASSERT_EQ(t.dict(3).size(), 2u);
+  EXPECT_EQ(t.dict(3).at(1), "other");
+
   // Arity and dtype mismatches are rejected.
-  EXPECT_THROW(t.append_slab(slab, {Value(1.0)}), TypeError);
-  EXPECT_THROW(t.append_slab(slab, {Value("x"), Value("cam")}), TypeError);
+  EXPECT_THROW(t.append_slab(ColumnSlab(mixed_schema())), TypeError);
+  Schema mistyped({{"plate", DType::kString, Value(std::string())},
+                   {"speed", DType::kNumber, Value(0.0)},
+                   {kChunkColumn, DType::kString, Value(std::string())},
+                   {"camera", DType::kString, Value(std::string())}});
+  EXPECT_THROW(t.append_slab(ColumnSlab(mistyped)), TypeError);
+  // So is a ragged slab, a column short of the row count, before any of
+  // it lands.
+  ColumnSlab ragged(full);
+  ragged.append_string(0, "CCC");
+  ragged.append_number(1, 1.0);
+  ragged.finish_row();
+  ragged.repeat_number(2, 25.0, 1);  // no camera cell
+  EXPECT_THROW(t.append_slab(ragged), TypeError);
+  EXPECT_EQ(t.row_count(), 4u);
+  EXPECT_EQ(t.numbers(2).size(), 4u);
 }
 
 TEST(Table, GatherRemapsCodesAcrossDictionaries) {
@@ -453,7 +491,6 @@ TEST(ComputeGroups, BadColumnThrowsEvenOnEmptyTable) {
 
 ColumnSlab payload_slab(std::size_t n_rows, const std::string& s, double x) {
   ColumnSlab slab(mixed_schema());
-  slab.reserve(n_rows);
   for (std::size_t i = 0; i < n_rows; ++i) {
     slab.append_string(0, s);
     slab.append_number(1, x);

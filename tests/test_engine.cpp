@@ -2,6 +2,7 @@
 // executor, budget accounting, masks/regions, and the Privid facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -13,9 +14,18 @@
 #include "engine/standing.hpp"
 #include "maskopt/greedy.hpp"
 #include "maskopt/heatmap.hpp"
+#include "query/parser.hpp"
 #include "sim/scenarios.hpp"
 
 namespace privid::engine {
+
+// The intermediate table a PROCESS wrote INTO `into`.
+struct PreparedQueryTestAccess {
+  static const Table& table(const PreparedQuery& pq, const std::string& into) {
+    return pq.tables_.at(into).data;
+  }
+};
+
 namespace {
 
 // A tiny deterministic scene: `n` people crossing one at a time, each
@@ -75,6 +85,13 @@ constexpr const char* kCountQuery =
 
 // ------------------------------------------------------------- sandbox
 
+ColumnSlab sandboxed(const Executable& exe, const ChunkView& view,
+                     const SandboxPolicy& policy) {
+  ColumnSlab slab(policy.schema);
+  run_sandboxed(exe, view, policy, &slab);
+  return slab;
+}
+
 TEST(Sandbox, TruncatesToMaxRows) {
   auto exe = [](const ChunkView&) {
     ExecOutput out;
@@ -86,7 +103,7 @@ TEST(Sandbox, TruncatesToMaxRows) {
   VideoMeta meta = scene->meta();
   ChunkView view(&content, &meta, 0, {0, 5}, {0, 50}, nullptr, nullptr);
   Schema schema({{"n", DType::kNumber, Value(0.0)}});
-  auto slab = run_sandboxed(exe, view, {1.0, 3, schema});
+  ColumnSlab slab = sandboxed(exe, view, {1.0, 3, schema});
   EXPECT_EQ(slab.row_count(), 3u);
 }
 
@@ -104,7 +121,7 @@ TEST(Sandbox, CoercesRows) {
   ChunkView view(&content, &meta, 0, {0, 5}, {0, 50}, nullptr, nullptr);
   Schema schema({{"a", DType::kNumber, Value(-1.0)},
                  {"b", DType::kNumber, Value(-2.0)}});
-  auto slab = run_sandboxed(exe, view, {1.0, 5, schema});
+  ColumnSlab slab = sandboxed(exe, view, {1.0, 5, schema});
   ASSERT_EQ(slab.row_count(), 2u);
   EXPECT_EQ(slab.value_at(0, 0), Value(-1.0));  // wrong type -> default
   EXPECT_EQ(slab.value_at(0, 1), Value(2.0));   // extra column 9.0 dropped
@@ -121,7 +138,7 @@ TEST(Sandbox, CrashYieldsDefaultRow) {
   VideoMeta meta = scene->meta();
   ChunkView view(&content, &meta, 0, {0, 5}, {0, 50}, nullptr, nullptr);
   Schema schema({{"n", DType::kNumber, Value(7.0)}});
-  auto slab = run_sandboxed(exe, view, {1.0, 3, schema});
+  ColumnSlab slab = sandboxed(exe, view, {1.0, 3, schema});
   ASSERT_EQ(slab.row_count(), 1u);
   EXPECT_EQ(slab.value_at(0, 0), Value(7.0));
 }
@@ -138,7 +155,7 @@ TEST(Sandbox, TimeoutYieldsDefaultRow) {
   VideoMeta meta = scene->meta();
   ChunkView view(&content, &meta, 0, {0, 5}, {0, 50}, nullptr, nullptr);
   Schema schema({{"n", DType::kNumber, Value(-9.0)}});
-  auto slab = run_sandboxed(exe, view, {1.0, 3, schema});
+  ColumnSlab slab = sandboxed(exe, view, {1.0, 3, schema});
   ASSERT_EQ(slab.row_count(), 1u);
   EXPECT_EQ(slab.value_at(0, 0), Value(-9.0));
 }
@@ -161,7 +178,7 @@ TEST(Sandbox, NonFiniteNumbersRejected) {
   ChunkView view(&content, &meta, 0, {0, 5}, {0, 50}, nullptr, nullptr);
   Schema schema({{"a", DType::kNumber, Value(-1.0)},
                  {"b", DType::kNumber, Value(-2.0)}});
-  auto slab = run_sandboxed(exe, view, {1.0, 5, schema});
+  ColumnSlab slab = sandboxed(exe, view, {1.0, 5, schema});
   ASSERT_EQ(slab.row_count(), 3u);
   EXPECT_EQ(slab.value_at(0, 0), Value(-1.0));  // NaN -> default
   EXPECT_EQ(slab.value_at(0, 1), Value(1.0));
@@ -325,6 +342,126 @@ TEST(Executor, HardRegionsAddRegionColumn) {
   EXPECT_LE(result.releases.size(), 2u);
 }
 
+// Where a phase's tasks are cut into ranges must not show in its table:
+// every cell and every column dictionary (entries and order) is the same
+// for single-task ranges, one whole-phase range, random cuts and the
+// pool's own morsels. The phase mixes zero-row tasks, crashing tasks
+// (default row), three regions and a STRING column. Task (chunk 0, mid)
+// returns no rows, so "mid" sits between "left" and "right" in the region
+// dictionary only because a zero-row task still interns its trusted
+// region — and a concatenation that interned only the strings its cells
+// use would move it.
+void expect_same_table(const Table& a, const Table& b, const std::string& how) {
+  ASSERT_EQ(a.row_count(), b.row_count()) << how;
+  ASSERT_EQ(a.schema().size(), b.schema().size()) << how;
+  for (std::size_t c = 0; c < a.schema().size(); ++c) {
+    if (a.schema().column(c).type == DType::kNumber) {
+      EXPECT_EQ(a.numbers(c), b.numbers(c)) << how << " column " << c;
+      continue;
+    }
+    EXPECT_EQ(a.codes(c), b.codes(c)) << how << " column " << c;
+    ASSERT_EQ(a.dict(c).size(), b.dict(c).size()) << how << " column " << c;
+    for (std::uint32_t code = 0; code < a.dict(c).size(); ++code) {
+      EXPECT_EQ(a.dict(c).at(code), b.dict(c).at(code))
+          << how << " column " << c << " code " << code;
+    }
+  }
+}
+
+TEST(Executor, RangeCutsAreUnobservable) {
+  auto scene = staircase_scene(5);
+  std::map<std::string, CameraState> cameras;
+  CameraState& cam = cameras["cam"];
+  cam.meta = scene->meta();
+  cam.content.scene = scene;
+  cam.content.seed = 11;
+  cam.policy = {10, 1};
+  cam.regions.emplace(
+      "thirds", RegionScheme("thirds", BoundaryKind::kHard,
+                             {{"left", Box{0, 0, 427, 720}},
+                              {"mid", Box{427, 0, 426, 720}},
+                              {"right", Box{853, 0, 427, 720}}}));
+  ExecutableRegistry registry;
+  registry.add("plates", [](const ChunkView& view) -> ExecOutput {
+    const std::size_t i = view.chunk_index();
+    const bool mid = view.region()->name == "mid";
+    if (i % 4 == 1) throw std::runtime_error("crash");  // default row
+    if (i % 4 == 2 || (i == 0 && mid)) return {};       // zero rows
+    ExecOutput out;
+    for (std::size_t r = 0; r <= i % 3; ++r) {
+      out.rows.push_back({Value("P" + std::to_string((i * 7 + r) % 5)),
+                          Value(static_cast<double>(i + r))});
+    }
+    return out;
+  });
+  Rng rng(7);
+  ThreadPool pool(3);
+  Executor exec(&cameras, &registry, &rng, &pool);
+  const query::ParsedQuery q = query::parse_query(
+      "SPLIT cam BEGIN 0 END 100 BY TIME 2 STRIDE 0 BY REGION thirds INTO c;"
+      "PROCESS c USING plates TIMEOUT 1 PRODUCING 2 ROWS "
+      "WITH SCHEMA (plate:STRING=\"none\", n:NUMBER=-1) INTO t;"
+      "SELECT COUNT(*) FROM t;");
+  RunOptions opts;
+  opts.cache = CacheMode::kOff;
+
+  // Assembles the phase from the ranges between consecutive cuts, handed
+  // to assemble last range first.
+  const auto cut_at = [&](const std::vector<std::size_t>& cuts) {
+    PreparedQuery pq = exec.prepare(q, opts);
+    std::vector<TaskRange> ranges;
+    for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+      ranges.push_back(pq.run_range(0, cuts[k], cuts[k + 1]));
+    }
+    std::reverse(ranges.begin(), ranges.end());
+    pq.assemble(0, std::move(ranges));
+    return pq;
+  };
+  PreparedQuery probe = exec.prepare(q, opts);
+  const std::size_t n = probe.task_count(0);
+  ASSERT_EQ(n, 150u);
+
+  std::vector<std::size_t> singles;
+  for (std::size_t t = 0; t <= n; ++t) singles.push_back(t);
+  const PreparedQuery reference = cut_at(singles);
+  const Table& t = PreparedQueryTestAccess::table(reference, "t");
+  // Rows 0 and 1 are (chunk 0, left) and (chunk 0, right); the zero-row
+  // (chunk 0, mid) still interned "mid" between them.
+  const std::size_t region_col = t.schema().index_of(kRegionColumn);
+  ASSERT_EQ(t.dict(region_col).size(), 3u);
+  EXPECT_EQ(t.dict(region_col).at(0), "left");
+  EXPECT_EQ(t.dict(region_col).at(1), "mid");
+  EXPECT_EQ(t.dict(region_col).at(2), "right");
+  EXPECT_EQ(t.string_at(1, region_col), "right");
+  EXPECT_TRUE(t.dict(t.schema().index_of("plate")).find("none"));
+
+  expect_same_table(t, PreparedQueryTestAccess::table(cut_at({0, n}), "t"),
+                    "one range");
+  Rng cuts_rng(3);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<std::size_t> cuts = {0, n};
+    for (int k = 0; k < 6; ++k) {
+      cuts.push_back(static_cast<std::size_t>(
+          cuts_rng.uniform_int(0, static_cast<std::int64_t>(n))));
+    }
+    std::sort(cuts.begin(), cuts.end());  // repeats make empty ranges
+    expect_same_table(t, PreparedQueryTestAccess::table(cut_at(cuts), "t"),
+                      "random cuts, trial " + std::to_string(trial));
+  }
+  for (std::size_t threads : {1u, 4u}) {
+    opts.num_threads = threads;
+    PreparedQuery pq = exec.prepare(q, opts);
+    exec.run(pq);
+    expect_same_table(t, PreparedQueryTestAccess::table(pq, "t"),
+                      "Executor::run at " + std::to_string(threads));
+  }
+  EXPECT_THROW(probe.run_range(0, 5, n + 1), ArgumentError);
+  std::vector<TaskRange> gap;
+  gap.push_back(probe.run_range(0, 0, 3));
+  gap.push_back(probe.run_range(0, 4, n));
+  EXPECT_THROW(probe.assemble(0, std::move(gap)), ArgumentError);
+}
+
 TEST(Executor, ConsumingSetsEpsilon) {
   Privid sys = make_system(3);
   RunOptions opts;
@@ -414,7 +551,7 @@ TEST(Budgeting, DisjointWindowsHaveSeparateBudgets) {
   EXPECT_NO_THROW(sys.execute(q(65, 100)));
 }
 
-TEST(Executor, MultiSelectChargesSequentially) {
+TEST(Executor, MultiSelectReservesCumulativelyAndAtomically) {
   // Two SELECTs in one query are separate data releases: each consumes its
   // own epsilon from the same frames, so admission reserves them
   // cumulatively — and atomically: a query whose second SELECT does not

@@ -634,18 +634,6 @@ TEST(ObsStatsEquivalence, CacheStatsMatchRegistryDeltas) {
 
 // ------------------------------------------------------------------ pool
 
-TEST(ObsPool, GaugesReturnToZeroAtQuiescence) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.parallel_for(64, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 64);
-  const Snapshot s = pool.metrics().snapshot();
-  EXPECT_EQ(gauge_at(s, "pool.queue_depth"), 0);
-  EXPECT_EQ(gauge_at(s, "pool.active_workers"), 0);
-}
-
 TEST(ObsPool, FacadeKeepsOneHardwareSizedPoolAcrossThreadCounts) {
   const auto workers = [] {
     return Registry::global().snapshot().gauge_value("pool.workers");

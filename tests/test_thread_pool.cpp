@@ -83,9 +83,20 @@ TEST(ThreadPool, RethrowsLowestIndexException) {
   EXPECT_EQ(executed.load(), 64);
 }
 
+// Arms a pool.task plan that visits but never fires (for the sizes used
+// here), so site_stats counts one visit per index handed out.
+void arm_silent_pool_task_plan() {
+  std::optional<fault::FaultPlan> plan =
+      fault::FaultPlan::parse("pool.task:every1000000000");
+  ASSERT_TRUE(plan.has_value());
+  fault::Injector::global().set_plan(*std::move(plan));
+}
+
 TEST(ThreadPool, EveryIndexRunsOnceAcrossSizesAndCaps) {
   // Sizes around the morsel arithmetic: fewer indices than participants,
-  // a prime, and a batch large enough for multi-index morsels.
+  // a prime, and a batch large enough for multi-index morsels. The index
+  // form and the range form both cover every index exactly once, and the
+  // range form still visits pool.task once per index.
   ThreadPool pool(3);
   for (std::size_t n : {2u, 3u, 5u, 97u, 100003u}) {
     for (std::size_t cap : {0u, 2u}) {
@@ -95,6 +106,26 @@ TEST(ThreadPool, EveryIndexRunsOnceAcrossSizesAndCaps) {
       std::size_t wrong = 0;
       for (const auto& c : counts) wrong += c.load() != 1;
       EXPECT_EQ(wrong, 0u) << "n=" << n << " max_threads=" << cap;
+
+      std::vector<std::atomic<int>> covered(n);
+      std::atomic<std::size_t> empty_ranges{0};
+      arm_silent_pool_task_plan();
+      pool.parallel_for_ranges(
+          n,
+          [&](std::size_t begin, std::size_t end) {
+            if (begin >= end) empty_ranges.fetch_add(1);
+            for (std::size_t i = begin; i < end; ++i) covered[i].fetch_add(1);
+          },
+          cap);
+      const fault::SiteStats stats =
+          fault::Injector::global().site_stats().at("pool.task");
+      fault::Injector::global().clear();
+      wrong = 0;
+      for (const auto& c : covered) wrong += c.load() != 1;
+      EXPECT_EQ(wrong, 0u) << "ranges n=" << n << " max_threads=" << cap;
+      EXPECT_EQ(empty_ranges.load(), 0u);
+      EXPECT_EQ(stats.visits, n) << "ranges n=" << n;
+      EXPECT_EQ(stats.fired, 0u);
     }
   }
 }
@@ -116,6 +147,23 @@ TEST(ThreadPool, LowestIndexRethrowSpansMorsels) {
     EXPECT_STREQ(e.what(), "40000");
   }
   EXPECT_EQ(executed.load(), 100000u);
+
+  // Range form: a body that walks its range in order and throws its first
+  // failure surfaces the same lowest index, whatever the morsels were.
+  for (int rep = 0; rep < 20; ++rep) {
+    try {
+      pool.parallel_for_ranges(100000, [](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (i == 40000 || i == 40001 || i == 99999) {
+            throw std::runtime_error(std::to_string(i));
+          }
+        }
+      });
+      FAIL() << "expected the range batch to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "40000") << "rep " << rep;
+    }
+  }
 }
 
 TEST(ThreadPool, GaugesAndItemCountSettleOnReturn) {
