@@ -768,24 +768,43 @@ QueryPlan Executor::plan(const ParsedQuery& q) const {
 }
 
 QueryResult Executor::run(PreparedQuery& pq) {
-  std::size_t n_threads = ThreadPool::resolve_threads(pq.options().num_threads);
-  for (std::size_t phase = 0; phase < pq.phase_count(); ++phase) {
-    const std::size_t n_tasks = pq.task_count(phase);
-    std::vector<TaskRange> ranges;
-    if (pool_ != nullptr && n_threads > 1 && n_tasks > 1) {
-      std::mutex mu;  // guards `ranges`: one push per claimed morsel
-      pool_->parallel_for_ranges(
-          n_tasks,
-          [&](std::size_t lo, std::size_t hi) {
-            TaskRange range = pq.run_range(phase, lo, hi);
+  const std::size_t n_threads =
+      ThreadPool::resolve_threads(pq.options().num_threads);
+  const std::size_t n_phases = pq.phase_count();
+  // first[p] is phase p's first task in the query's phase-major task order.
+  std::vector<std::size_t> first(n_phases + 1, 0);
+  for (std::size_t p = 0; p < n_phases; ++p) {
+    first[p + 1] = first[p] + pq.task_count(p);
+  }
+  std::vector<std::vector<TaskRange>> ranges(n_phases);
+  if (pool_ != nullptr && n_threads > 1 && first[n_phases] > 1) {
+    // Phases are independent, so one pool batch runs every phase's tasks:
+    // a query pays one fan-out and one join, not one per PROCESS. A morsel
+    // that straddles phases runs as one range per phase, in task order, so
+    // the lowest failing task is still the one a sequential run hits first.
+    std::mutex mu;  // guards `ranges`: one push per range
+    pool_->parallel_for_ranges(
+        first[n_phases],
+        [&](std::size_t lo, std::size_t hi) {
+          std::size_t p = static_cast<std::size_t>(
+              std::upper_bound(first.begin(), first.end(), lo) -
+              first.begin() - 1);
+          for (; lo < hi; ++p) {
+            const std::size_t end = std::min(hi, first[p + 1]);
+            TaskRange range = pq.run_range(p, lo - first[p], end - first[p]);
             std::lock_guard<std::mutex> lock(mu);
-            ranges.push_back(std::move(range));
-          },
-          n_threads);
-    } else {
-      ranges.push_back(pq.run_range(phase, 0, n_tasks));
+            ranges[p].push_back(std::move(range));
+            lo = end;
+          }
+        },
+        n_threads);
+  } else {
+    for (std::size_t p = 0; p < n_phases; ++p) {
+      ranges[p].push_back(pq.run_range(p, 0, pq.task_count(p)));
     }
-    pq.assemble(phase, std::move(ranges));
+  }
+  for (std::size_t p = 0; p < n_phases; ++p) {
+    pq.assemble(p, std::move(ranges[p]));
   }
   return pq.finish();
 }

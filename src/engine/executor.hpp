@@ -216,8 +216,9 @@ class Executor;
 // run_range is thread-safe and pure per (phase, task): it owns no shared
 // mutable state beyond the (mutex-guarded) chunk cache and single-flight
 // registry, so any interleaving with other queries' tasks yields the same
-// rows. Executor::run hands it each pool morsel; the service scheduler
-// one task at a time. assemble concatenates the ranges in task order, and
+// rows. Executor::run runs every phase's tasks in one pool batch and hands
+// it each morsel, cut at phase boundaries; the service scheduler one task
+// at a time. assemble concatenates the ranges in task order, and
 // a range slab's rows and dictionaries are those its tasks would have
 // produced one at a time, so the final table — and everything derived
 // from it — is byte-identical to a sequential run however the tasks were

@@ -355,6 +355,24 @@ TEST(ParallelDeterminism, MultiRegionQuery) {
       "SELECT COUNT(*) FROM t GROUP BY region;");
 }
 
+// execute() runs every phase's tasks (here 20, 1 and 40) in one pool
+// batch, so morsels straddle phase boundaries; each phase's table must
+// still come out in its own task order.
+TEST(ParallelDeterminism, MultiPhaseQuery) {
+  expect_thread_invariant(
+      "SPLIT cam BEGIN 0 END 100 BY TIME 5 STRIDE 0 INTO a;"
+      "SPLIT cam BEGIN 0 END 5 BY TIME 5 STRIDE 0 INTO b;"
+      "SPLIT cam BEGIN 0 END 100 BY TIME 5 STRIDE 0 BY REGION halves INTO c;"
+      "PROCESS a USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO ta;"
+      "PROCESS b USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO tb;"
+      "PROCESS c USING count TIMEOUT 1 PRODUCING 3 ROWS "
+      "WITH SCHEMA (seen:NUMBER=0) INTO tc;"
+      "SELECT COUNT(*) FROM ta UNION tb GROUP BY chunk;"
+      "SELECT COUNT(*) FROM tc GROUP BY region;");
+}
+
 TEST(ParallelDeterminism, StandingQueryPath) {
   auto run = [](std::size_t num_threads) {
     Privid sys = make_system(5);
